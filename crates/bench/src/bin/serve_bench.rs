@@ -28,12 +28,11 @@
 //! ```
 //!
 //! A sixth section isolates the cold-render hot path itself: every
-//! εKDV and τKDV tile at z ∈ {0, 2, 4} rendered once per engine mode —
-//! scalar per-pixel, SIMD per-pixel, and SIMD + tile-batched frontier
-//! refinement — so the sidecar pins the per-mode cold p99 and the
-//! scalar→batched speedup the perf work claims, together with the
-//! host's core count and SIMD capability (the numbers are meaningless
-//! without them).
+//! εKDV and τKDV tile at z ∈ {0, 2, 4} rendered in-process once per
+//! engine mode — {scalar, SIMD} × {per-pixel, tile-batched} — so the
+//! sidecar pins the per-mode cold p99 and the speedups the perf work
+//! claims, together with the host's core count and SIMD capability
+//! (the numbers are meaningless without them).
 //!
 //! Set `KDV_BENCH_COLD_POINTS` to shrink the cold-start dataset for
 //! quick local runs (the committed sidecar uses the full 1M). Set
@@ -49,14 +48,22 @@ use std::time::Instant;
 
 use kdv_cluster::{Router, RouterConfig};
 use kdv_core::bandwidth::scott_gamma;
+use kdv_core::bounds::BoundFamily;
+use kdv_core::engine::{RefineEvaluator, RenderBudget, TileEvaluator};
 use kdv_core::kernel::Kernel;
+use kdv_core::raster::RasterSpec;
 use kdv_data::Dataset;
 use kdv_index::KdTree;
 use kdv_pyramid::{geometric_ladder, PyramidBuilder, PyramidConfig};
 use kdv_server::{ServerConfig, TileServer};
 use kdv_store::{FsyncPolicy, SnapshotWriter};
 use kdv_telemetry::json::{self, Value};
-use kdv_telemetry::LogHistogram;
+use kdv_telemetry::{LogHistogram, RenderMetrics};
+use kdv_viz::tile_render::{
+    pyramid_raster, render_tile_eps, render_tile_eps_batched, render_tile_tau,
+    render_tile_tau_batched,
+};
+use kdv_viz::ColorMap;
 
 const POINTS: usize = 20_000;
 const COLD_POINTS: usize = 1_000_000;
@@ -935,88 +942,103 @@ fn pyramid_bench(tmp: &Path) -> Value {
 
 /// The cold-render hot path, isolated per engine mode.
 ///
-/// Three servers over the same 20k crime dataset, started one at a
-/// time (the SIMD switch is process-global, so modes must not
-/// overlap): scalar per-pixel (`--no-simd --no-batch`), SIMD
-/// per-pixel (`--no-batch`), and SIMD + tile-batched frontier
-/// refinement (the serving default). Every εKDV and τKDV tile at
-/// z ∈ {0, 2, 4} is fetched cold once per mode per round; a tile's
-/// latency is the **minimum over rounds** (cold renders are
-/// deterministic work, so the min is the run least polluted by
-/// scheduler/clock drift on a shared host), and the histograms are
-/// over the tile population. The headline `p99_speedup_batched` is
-/// taken on the aggregate z ≤ 4 population — "cold-tile p99 at
-/// z ≤ 4" — with per-zoom splits alongside. `host_cores` and the
-/// SIMD capability fields are recorded because the absolute numbers
-/// (and the SIMD column's meaning) depend on them.
+/// The full {scalar, SIMD} × {per-pixel, batched} grid, taken
+/// in-process over the 20k crime dataset: every εKDV and τKDV tile at
+/// z ∈ {0, 2, 4} goes through the public tile renderers —
+/// `render_tile_{eps,tau}` (per-pixel) and `render_tile_{eps,tau}_batched`
+/// — with the process-wide SIMD switch flipped per mode. Modes are
+/// interleaved per tile so drift on a shared host hits all four alike,
+/// and a tile's latency is the **minimum over rounds** (cold renders
+/// are deterministic work, so the min is the run least polluted by
+/// scheduler/clock drift), with histograms over the tile population.
+/// The headline `p99_speedup_batched` (scalar per-pixel p99 over SIMD
+/// batched p99) is taken on the aggregate z ≤ 4 population, with
+/// per-zoom splits alongside; `p99_speedup_simd_batched` isolates what
+/// SIMD adds on the batched path. `host_cores` and the SIMD capability
+/// fields are recorded because the absolute numbers (and the SIMD
+/// columns' meaning) depend on them.
 fn cold_path() -> Value {
     let mut points = Dataset::Crime.generate(POINTS, SEED);
     points.scale_weights(1.0 / points.len() as f64);
     let kernel = Kernel::gaussian(scott_gamma(&points).gamma);
-    const MODES: [(&str, bool, bool); 3] = [
-        ("scalar", false, false),
-        ("simd", true, false),
+    let tree = KdTree::build_default(&points);
+    let base = RasterSpec::try_covering(&points, TILE_SIZE, TILE_SIZE, 0.05).expect("window");
+    let cm = ColorMap::heat();
+    let scale = {
+        let sweep = base.with_resolution(64, 64);
+        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
+        kdv_viz::render::render_eps(&mut ev, &sweep, 0.1)
+            .min_max()
+            .unwrap_or((0.0, 1.0))
+    };
+    let (eps, tau) = (0.1, ServerConfig::default().tau);
+    // (name, simd, batched); the speedups index into this order.
+    const MODES: [(&str, bool, bool); 4] = [
+        ("scalar_perpixel", false, false),
+        ("scalar_batched", false, true),
+        ("simd_perpixel", true, false),
         ("simd_batched", true, true),
     ];
-
-    // Modes are interleaved in rounds rather than run as one long phase
-    // each: on a small shared host, clock/thermal drift over a
-    // minutes-long phase would otherwise land entirely on whichever
-    // mode ran last and corrupt the scalar→batched ratio. Per
-    // (zoom, kind, tile, mode) the minimum latency over rounds is
-    // kept — each fetch renders the identical deterministic workload,
-    // so the min estimates the undisturbed cost and the spread across
-    // *tiles* (the thing p99 is about) is preserved.
+    const BASELINE: usize = 0;
+    const SCALAR_BATCHED: usize = 1;
+    const BEST: usize = 3;
+    // One cold render through the public tile renderers.
+    let render = |raster: &RasterSpec, tau_tile: bool, batched: bool| {
+        let family = BoundFamily::Quadratic;
+        let mut budget = RenderBudget::unlimited();
+        let mut metrics = RenderMetrics::new();
+        let (ev, tev) = (
+            &mut RefineEvaluator::new(&tree, kernel, family),
+            &mut TileEvaluator::new(&tree, kernel, family),
+        );
+        let (b, m) = (&mut budget, &mut metrics);
+        match (tau_tile, batched) {
+            (false, false) => render_tile_eps(ev, raster, eps, b, &cm, scale, m),
+            (false, true) => render_tile_eps_batched(tev, raster, eps, b, &cm, scale, m),
+            (true, false) => render_tile_tau(ev, raster, tau, b, m),
+            (true, true) => render_tile_tau_batched(tev, raster, tau, b, m),
+        }
+        .expect("tile renders")
+    };
     let rounds: usize = if std::env::var("KDV_BENCH_FAST").is_ok() {
         2
     } else {
         3
     };
-    // zoom → tile-fetch index → mode → best-of-rounds nanoseconds.
-    let mut mins: Vec<Vec<[u64; 3]>> = LEVELS
+    // zoom → tile index → mode → best-of-rounds nanoseconds.
+    let mut mins: Vec<Vec<[u64; 4]>> = LEVELS
         .iter()
-        .map(|&z| vec![[u64::MAX; 3]; 2 * (1usize << z) * (1usize << z)])
+        .map(|&z| vec![[u64::MAX; 4]; 2 * (1usize << z) * (1usize << z)])
         .collect();
     for _ in 0..rounds {
-        for (slot, (name, simd, batch)) in MODES.into_iter().enumerate() {
-            let config = ServerConfig {
-                tile_size: TILE_SIZE,
-                max_z: *LEVELS.iter().max().expect("levels"),
-                eps: 0.1,
-                workers: 4,
-                simd,
-                batch,
-                ..ServerConfig::default()
-            };
-            let server = TileServer::start(config, &points, kernel).expect("server start");
-            let addr = server.local_addr();
-            for (zi, &z) in LEVELS.iter().enumerate() {
-                let mut idx = 0usize;
-                for kind in ["eps", "tau"] {
-                    for x in 0..1u32 << z {
-                        for y in 0..1u32 << z {
-                            let path = format!("/tiles/{kind}/{z}/{x}/{y}.png");
+        for (zi, &z) in LEVELS.iter().enumerate() {
+            let mut idx = 0usize;
+            for tau_tile in [false, true] {
+                for x in 0..1u32 << z {
+                    for y in 0..1u32 << z {
+                        let raster = pyramid_raster(&base, z, x, y).expect("tile raster");
+                        for (slot, &(name, simd, batched)) in MODES.iter().enumerate() {
+                            kdv_geom::simd::set_simd_enabled(simd);
                             let start = Instant::now();
-                            let (status, body) = fetch(addr, &path);
+                            let tile = render(&raster, tau_tile, batched);
                             let ns = start.elapsed().as_nanos() as u64;
-                            assert_eq!(status, 200, "{path} ({name})");
-                            assert!(body.starts_with(b"\x89PNG"), "{path}: not a PNG");
+                            assert!(tile.is_complete(), "z{z} ({x},{y}) {name}: degraded");
                             let slot_min = &mut mins[zi][idx][slot];
                             *slot_min = (*slot_min).min(ns);
-                            idx += 1;
                         }
+                        idx += 1;
                     }
                 }
             }
-            server.stop();
         }
     }
+    kdv_geom::simd::set_simd_enabled(true);
 
-    let mut hists: Vec<[LogHistogram; 3]> = LEVELS
+    let mut hists: Vec<[LogHistogram; 4]> = LEVELS
         .iter()
         .map(|_| std::array::from_fn(|_| LogHistogram::new()))
         .collect();
-    let mut all: [LogHistogram; 3] = std::array::from_fn(|_| LogHistogram::new());
+    let mut all: [LogHistogram; 4] = std::array::from_fn(|_| LogHistogram::new());
     for (zi, tiles) in mins.iter().enumerate() {
         for t in tiles {
             for (slot, &ns) in t.iter().enumerate() {
@@ -1031,14 +1053,16 @@ fn cold_path() -> Value {
     let mut zooms = Vec::new();
     let mut speedups = Vec::new();
     for (zi, &z) in LEVELS.iter().enumerate() {
-        let speedup = p99(&hists[zi][0]) / p99(&hists[zi][2]);
+        let speedup = p99(&hists[zi][BASELINE]) / p99(&hists[zi][BEST]);
         speedups.push(speedup);
+        let cells: Vec<String> = MODES
+            .iter()
+            .enumerate()
+            .map(|(slot, (name, _, _))| format!("{name} {:.2}", p99(&hists[zi][slot]) / 1e6))
+            .collect();
         println!(
-            "cold path z={z}: scalar p99 {:.2} ms, simd p99 {:.2} ms, \
-             simd+batched p99 {:.2} ms ({speedup:.1}x vs scalar)",
-            p99(&hists[zi][0]) / 1e6,
-            p99(&hists[zi][1]) / 1e6,
-            p99(&hists[zi][2]) / 1e6,
+            "cold path z={z} p99 ms: {} ({speedup:.1}x)",
+            cells.join(", ")
         );
         let mut fields = vec![
             ("z", json::num_u(z as u64)),
@@ -1051,15 +1075,16 @@ fn cold_path() -> Value {
         zooms.push(Value::obj(fields));
     }
     let min_speedup = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
-    let agg_speedup = p99(&all[0]) / p99(&all[2]);
+    let agg_speedup = p99(&all[BASELINE]) / p99(&all[BEST]);
+    let simd_speedup = p99(&all[SCALAR_BATCHED]) / p99(&all[BEST]);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let max_z = *LEVELS.iter().max().expect("levels");
     println!(
-        "cold path: z≤{max_z} cold-tile p99 scalar {:.2} ms → simd+batched {:.2} ms \
-         ({agg_speedup:.1}x; worst single zoom {min_speedup:.1}x) \
-         ({cores} core(s), simd {})",
-        p99(&all[0]) / 1e6,
-        p99(&all[2]) / 1e6,
+        "cold path: z≤{max_z} cold-tile p99 scalar per-pixel {:.2} ms → simd batched {:.2} ms \
+         ({agg_speedup:.1}x; worst single zoom {min_speedup:.1}x; simd on batched \
+         {simd_speedup:.2}x) ({cores} core(s), simd {})",
+        p99(&all[BASELINE]) / 1e6,
+        p99(&all[BEST]) / 1e6,
         if kdv_geom::simd::simd_supported() {
             "avx2"
         } else {
@@ -1086,6 +1111,7 @@ fn cold_path() -> Value {
         ("all_zooms", Value::obj(agg_fields)),
         ("p99_speedup_batched", json::num_f(agg_speedup)),
         ("p99_speedup_batched_min", json::num_f(min_speedup)),
+        ("p99_speedup_simd_batched", json::num_f(simd_speedup)),
     ])
 }
 

@@ -12,7 +12,7 @@ pub struct Args {
 }
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 12] = [
+const BOOLEAN_FLAGS: [&str; 11] = [
     "help",
     "weights",
     "grayscale",
@@ -22,7 +22,6 @@ const BOOLEAN_FLAGS: [&str; 12] = [
     "debug-sleep",
     "no-trace",
     "no-simd",
-    "no-batch",
     "preload",
     "pyramid",
 ];

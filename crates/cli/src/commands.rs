@@ -477,7 +477,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
              \x20         [--eps 0.05] [--tau T | --tau-sigma K] [--kernel ...] [--gamma G]\n\
              \x20         [--weights] [--workers 4] [--queue 64] [--cache-mb 64]\n\
              \x20         [--cache-shards 8] [--tile-max-work UNITS] [--tile-deadline-ms MS]\n\
-             \x20         [--no-trace] [--no-simd] [--no-batch]\n\
+             \x20         [--no-trace] [--no-simd]\n\
              \x20         [--trace-ring 128] [--slow-ms 100]\n\
              \x20         [--access-log PATH|-] [--allow-shutdown] [--debug-sleep]\n\
              \x20         [--port-file PATH]\n\
@@ -620,7 +620,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         memtable_points,
         compact_points,
         simd: !args.has("no-simd"),
-        batch: !args.has("no-batch"),
     };
     if config.preload && store_dir.is_none() {
         return Err("--preload only applies to --store serving".into());

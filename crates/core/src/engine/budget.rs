@@ -221,6 +221,21 @@ impl BudgetedEval {
     pub fn half_gap(&self) -> f64 {
         0.5 * (self.ub - self.lb)
     }
+
+    /// The τ classification of a bracket refined toward τ: certain
+    /// (`lb ≥ τ` or `ub < τ`) unless `exhausted`, when it falls back to
+    /// the midpoint guess.
+    #[inline]
+    pub fn classify(&self, tau: f64) -> BudgetedTau {
+        BudgetedTau {
+            hot: if self.exhausted {
+                self.estimate() >= tau
+            } else {
+                self.lb >= tau
+            },
+            decided: !self.exhausted,
+        }
+    }
 }
 
 /// Outcome of one budgeted τKDV classification.

@@ -29,4 +29,4 @@ mod tile;
 pub use budget::{BudgetPolicy, BudgetedEval, BudgetedTau, RenderBudget};
 pub use probe::{NoProbe, Probe};
 pub use refine::{RefineEvaluator, RefineStats};
-pub use tile::{TileEps, TileEvaluator, TileTau};
+pub use tile::{TileEps, TileEvaluator, TileRule, TileTau};

@@ -12,8 +12,9 @@
 //!    refines it best-first — each split is paid once per block instead
 //!    of once per pixel.
 //! 2. **Wholesale decisions.** When the frontier's summed box interval
-//!    already meets the stop rule (`ub ≤ (1+ε)·lb`, or τ cleared on
-//!    either side), every pixel of the block is decided in O(1).
+//!    already meets the [`TileRule`] (`ub ≤ (1+ε)·lb`, `ub − lb ≤ 2·tol`,
+//!    or τ cleared on either side), every pixel of the block is decided
+//!    in O(1).
 //! 3. **Quadrant recursion.** Otherwise the block splits into four
 //!    quadrants; each child re-brackets the inherited frontier against
 //!    its smaller box (bounds only tighten) and recurses.
@@ -52,6 +53,12 @@
 //! the block's current box interval — a valid bracket — flagged
 //! `exhausted`/undecided.
 //!
+//! A caller may add a known per-pixel offset δ(q) to the density — a
+//! tile server's exact memtable delta. Decisions then test the rule on
+//! `[lb + δ_min, ub + δ_max]` over the pixels they decide, which
+//! implies the rule on each pixel's own `[lb + δ(q), ub + δ(q)]`, so
+//! the contract holds for `F(q) + δ(q)`.
+//!
 //! Shared (block-level) work is charged to the budget and reported to
 //! the [`Probe`] as it happens; per-pixel [`RefineStats`] cover only
 //! each pixel's own finishing work plus the new
@@ -66,6 +73,7 @@ use crate::bounds::{
     box_bounds, gaussian_bounds_from_exps, gaussian_interval_from_exps, node_bounds_pre,
     BoundFamily,
 };
+use crate::error::KdvError;
 use crate::kernel::{Kernel, KernelType};
 use crate::query::{validate_eps, validate_tau};
 use crate::raster::RasterSpec;
@@ -450,19 +458,39 @@ impl FinishScratch {
     }
 }
 
-/// What the tile is being refined toward.
-#[derive(Debug, Clone, Copy)]
-enum TileRule {
-    Eps(f64),
+/// The stop test a tile is refined toward. The paper's εKDV and τKDV
+/// share one branch-and-bound loop and differ only here (§3.2).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TileRule {
+    /// Relative εKDV: stop once `ub ≤ (1+ε)·lb`.
+    Rel(f64),
+    /// Absolute tolerance: stop once `ub − lb ≤ 2·tol`, so the midpoint
+    /// is within `tol` of the density (the coreset-pyramid contract).
+    Abs(f64),
+    /// τKDV: stop once `lb ≥ τ` or `ub < τ`.
     Tau(f64),
 }
 
 impl TileRule {
+    /// Rejects a parameter the matching per-pixel query would reject.
+    pub fn validate(&self) -> Result<(), KdvError> {
+        match *self {
+            TileRule::Rel(eps) => validate_eps(eps).map(drop),
+            TileRule::Tau(tau) => validate_tau(tau).map(drop),
+            TileRule::Abs(tol) if tol.is_finite() && tol > 0.0 => Ok(()),
+            TileRule::Abs(tol) => Err(KdvError::invalid(
+                "abs_tol",
+                format!("absolute tolerance must be positive and finite, got {tol}"),
+            )),
+        }
+    }
+
     /// Whether the bracket `[lb, ub]` decides *every* query it covers.
     #[inline]
     fn decides(&self, lb: f64, ub: f64) -> bool {
         match *self {
-            TileRule::Eps(eps) => ub <= (1.0 + eps) * lb,
+            TileRule::Rel(eps) => ub <= (1.0 + eps) * lb,
+            TileRule::Abs(tol) => ub - lb <= 2.0 * tol,
             // Strict `<` above τ mirrors the per-pixel rule: F = τ is
             // hot, so only `ub < τ` may classify cold.
             TileRule::Tau(tau) => lb >= tau || ub < tau,
@@ -470,9 +498,43 @@ impl TileRule {
     }
 }
 
-/// One εKDV tile evaluated by the batched path: per-pixel certified
+/// One tile request: the raster, its stop rule, and the per-pixel
+/// additive offset (row-major; empty means zero everywhere).
+#[derive(Clone, Copy)]
+struct Job<'r> {
+    raster: &'r RasterSpec,
+    rule: TileRule,
+    offset: &'r [f64],
+}
+
+impl Job<'_> {
+    /// The offset of raster pixel `idx`.
+    #[inline]
+    fn offset_at(&self, idx: usize) -> f64 {
+        self.offset.get(idx).copied().unwrap_or(0.0)
+    }
+
+    /// `(min, max)` offset over a pixel block.
+    fn offset_range(&self, (col0, row0, w, h): (u32, u32, u32, u32)) -> (f64, f64) {
+        if self.offset.is_empty() {
+            return (0.0, 0.0);
+        }
+        let width = self.raster.width();
+        let mut range = (f64::INFINITY, f64::NEG_INFINITY);
+        for row in row0..row0 + h {
+            let start = (row * width + col0) as usize;
+            for &d in &self.offset[start..start + w as usize] {
+                range = (range.0.min(d), range.1.max(d));
+            }
+        }
+        range
+    }
+}
+
+/// One tile evaluated by the batched path: per-pixel certified
 /// brackets and per-pixel finishing stats, both row-major over the
-/// tile raster.
+/// tile raster. Named for εKDV, its main use; every [`TileRule`]
+/// yields one.
 #[derive(Debug, Clone)]
 pub struct TileEps {
     /// Certified `[lb, ub]` bracket (and exhaustion flag) per pixel.
@@ -480,6 +542,16 @@ pub struct TileEps {
     /// Per-pixel finishing stats (see the module docs for what shared
     /// work is and is not attributed here).
     pub stats: Vec<RefineStats>,
+}
+
+impl TileEps {
+    /// The τ mask of a tile evaluated under [`TileRule::Tau`]`(tau)`.
+    pub fn classify(self, tau: f64) -> TileTau {
+        TileTau {
+            taus: self.evals.iter().map(|e| e.classify(tau)).collect(),
+            stats: self.stats,
+        }
+    }
 }
 
 /// One τKDV tile evaluated by the batched path (row-major).
@@ -572,22 +644,7 @@ impl<'a> TileEvaluator<'a> {
         budget: &mut RenderBudget,
         probe: &mut P,
     ) -> TileEps {
-        validate_eps(eps).expect("invalid eps");
-        let n = raster.num_pixels();
-        let mut out = vec![
-            (
-                BudgetedEval {
-                    lb: 0.0,
-                    ub: 0.0,
-                    exhausted: false
-                },
-                RefineStats::default()
-            );
-            n
-        ];
-        self.eval_tile(raster, TileRule::Eps(eps), budget, probe, &mut out);
-        let (evals, stats) = out.into_iter().unzip();
-        TileEps { evals, stats }
+        self.eval_tile_with(raster, TileRule::Rel(eps), &[], budget, probe)
     }
 
     /// Evaluates a whole τKDV tile under `budget`. With an unlimited
@@ -613,8 +670,42 @@ impl<'a> TileEvaluator<'a> {
         budget: &mut RenderBudget,
         probe: &mut P,
     ) -> TileTau {
-        validate_tau(tau).expect("invalid tau");
+        self.eval_tile_with(raster, TileRule::Tau(tau), &[], budget, probe)
+            .classify(tau)
+    }
+
+    /// Evaluates a whole tile toward `rule` under `budget`, for the
+    /// density `F(q) + offset(q)`: the tree's density plus a per-pixel
+    /// additive offset (row-major over `raster`; empty means zero). A
+    /// server passes the exact memtable delta here, so the stop rule
+    /// holds for the logical (base + memtable) density.
+    ///
+    /// Every decision — wholesale for a block, or per pixel — tests the
+    /// rule on `[lb + δ_min, ub + δ_max]` over the pixels it decides,
+    /// and every reported bracket is the pixel's own `[lb + δ, ub + δ]`.
+    ///
+    /// # Panics
+    /// Panics if `rule` is invalid, `offset` is neither empty nor one
+    /// value per pixel, or the tree is not 2-D.
+    pub fn eval_tile_with<P: Probe>(
+        &mut self,
+        raster: &RasterSpec,
+        rule: TileRule,
+        offset: &[f64],
+        budget: &mut RenderBudget,
+        probe: &mut P,
+    ) -> TileEps {
+        rule.validate().expect("invalid tile rule");
         let n = raster.num_pixels();
+        assert!(
+            offset.is_empty() || offset.len() == n,
+            "offset must be empty or one value per pixel"
+        );
+        assert_eq!(
+            self.tree.points().dim(),
+            2,
+            "tile evaluation requires a 2-D tree (rasters are 2-D)"
+        );
         let mut out = vec![
             (
                 BudgetedEval {
@@ -626,40 +717,11 @@ impl<'a> TileEvaluator<'a> {
             );
             n
         ];
-        self.eval_tile(raster, TileRule::Tau(tau), budget, probe, &mut out);
-        let taus = out
-            .iter()
-            .map(|(e, _)| {
-                if e.exhausted {
-                    BudgetedTau {
-                        hot: e.estimate() >= tau,
-                        decided: false,
-                    }
-                } else {
-                    BudgetedTau {
-                        hot: e.lb >= tau,
-                        decided: true,
-                    }
-                }
-            })
-            .collect();
-        let stats = out.into_iter().map(|(_, s)| s).collect();
-        TileTau { taus, stats }
-    }
-
-    fn eval_tile<P: Probe>(
-        &mut self,
-        raster: &RasterSpec,
-        rule: TileRule,
-        budget: &mut RenderBudget,
-        probe: &mut P,
-        out: &mut [(BudgetedEval, RefineStats)],
-    ) {
-        assert_eq!(
-            self.tree.points().dim(),
-            2,
-            "tile evaluation requires a 2-D tree (rasters are 2-D)"
-        );
+        let job = Job {
+            raster,
+            rule,
+            offset,
+        };
         self.shared = RefineStats {
             simd_lanes: kdv_geom::simd::simd_lanes(),
             ..RefineStats::default()
@@ -688,7 +750,9 @@ impl<'a> TileEvaluator<'a> {
         frontier.clear();
         let root = self.tree.root();
         frontier.push(self.bound_block_node(root, 0, &qbox, budget, probe));
-        self.solve_block(raster, block, frontier, rule, budget, probe, out);
+        self.solve_block(&job, block, frontier, budget, probe, &mut out);
+        let (evals, stats) = out.into_iter().unzip();
+        TileEps { evals, stats }
     }
 
     /// Box-bounds one node against a block box, with full accounting.
@@ -763,19 +827,18 @@ impl<'a> TileEvaluator<'a> {
 
     /// Recursively solves one pixel block. `frontier` is already
     /// bounded against this block's box and is returned to the pool.
-    #[allow(clippy::too_many_arguments)]
     fn solve_block<P: Probe>(
         &mut self,
-        raster: &RasterSpec,
+        job: &Job<'_>,
         block: (u32, u32, u32, u32),
         mut frontier: Vec<BlockNode>,
-        rule: TileRule,
         budget: &mut RenderBudget,
         probe: &mut P,
         out: &mut [(BudgetedEval, RefineStats)],
     ) {
         let (_, _, w, h) = block;
-        let qbox = block_box(raster, block);
+        let qbox = block_box(job.raster, block);
+        let (dmin, dmax) = job.offset_range(block);
         let (max_splits, cap) = if self.deep_shared {
             (SHARED_SPLITS_PER_BLOCK, FRONTIER_CAP)
         } else {
@@ -787,7 +850,7 @@ impl<'a> TileEvaluator<'a> {
         let mut splits = 0usize;
         let decided = loop {
             let (lb, ub) = frontier_interval(&frontier);
-            if rule.decides(lb, ub) {
+            if job.rule.decides(lb + dmin, ub + dmax) {
                 break Some((lb, ub, false));
             }
             if budget.is_exhausted() {
@@ -823,13 +886,19 @@ impl<'a> TileEvaluator<'a> {
         match decided {
             Some((lb, ub, exhausted)) => {
                 // Wholesale fill: every pixel inherits the block's
-                // certified interval; its per-pixel cost is zero and
-                // the whole frontier's bound work was reused.
+                // certified interval (shifted by its own offset); its
+                // per-pixel cost is zero and the whole frontier's bound
+                // work was reused.
                 let reuse = frontier.len();
                 let lanes = self.shared.simd_lanes;
-                self.fill_block(raster, block, out, |_| {
+                fill_block(job.raster, block, out, |idx| {
+                    let d = job.offset_at(idx);
                     (
-                        BudgetedEval { lb, ub, exhausted },
+                        BudgetedEval {
+                            lb: lb + d,
+                            ub: ub + d,
+                            exhausted,
+                        },
                         RefineStats {
                             frontier_reuse: reuse,
                             simd_lanes: lanes,
@@ -839,7 +908,7 @@ impl<'a> TileEvaluator<'a> {
                 });
             }
             None if (w * h) <= MIN_PIXELS => {
-                self.finish_pixels(raster, block, &frontier, rule, budget, probe, out);
+                self.finish_pixels(job, block, &frontier, budget, probe, out);
             }
             None => {
                 // Quadrant recursion: children re-bracket the
@@ -856,11 +925,11 @@ impl<'a> TileEvaluator<'a> {
                     if child.2 == 0 || child.3 == 0 {
                         continue;
                     }
-                    let cbox = block_box(raster, child);
+                    let cbox = block_box(job.raster, child);
                     let mut cf = self.frontier_pool.pop().unwrap_or_default();
                     cf.clear();
                     self.rebox_frontier(&frontier, &cbox, &mut cf, budget, probe);
-                    self.solve_block(raster, child, cf, rule, budget, probe, out);
+                    self.solve_block(job, child, cf, budget, probe, out);
                 }
             }
         }
@@ -877,13 +946,11 @@ impl<'a> TileEvaluator<'a> {
     /// priority order each pixel sees matches the per-pixel
     /// evaluator's, while the node's statistics are loaded once per
     /// step instead of once per pixel.
-    #[allow(clippy::too_many_arguments)]
     fn finish_pixels<P: Probe>(
         &mut self,
-        raster: &RasterSpec,
+        job: &Job<'_>,
         block: (u32, u32, u32, u32),
         frontier: &[BlockNode],
-        rule: TileRule,
         budget: &mut RenderBudget,
         probe: &mut P,
         out: &mut [(BudgetedEval, RefineStats)],
@@ -891,6 +958,7 @@ impl<'a> TileEvaluator<'a> {
         let (col0, row0, w, h) = block;
         let npix = (w * h) as usize;
         let stride = 2 * npix;
+        let raster = job.raster;
         let width_px = raster.width();
         let lanes = self.shared.simd_lanes;
         let mut s = std::mem::take(&mut self.finish);
@@ -972,12 +1040,13 @@ impl<'a> TileEvaluator<'a> {
                 // F(q) at whatever tightness the budget bought.
                 for &p in &s.undecided {
                     let p = p as usize;
+                    let d = job.offset_at(global(p));
                     let mut st = s.stats[p];
                     st.frontier_reuse = boxed_alive;
                     out[global(p)] = (
                         BudgetedEval {
-                            lb: s.best_lb[p],
-                            ub: s.best_ub[p],
+                            lb: s.best_lb[p] + d,
+                            ub: s.best_ub[p] + d,
                             exhausted: true,
                         },
                         st,
@@ -998,7 +1067,7 @@ impl<'a> TileEvaluator<'a> {
                 // Frontier exhausted: every contribution is exact.
                 for &p in &s.undecided {
                     let p = p as usize;
-                    let e = s.exact[p];
+                    let e = s.exact[p] + job.offset_at(global(p));
                     let mut st = s.stats[p];
                     st.frontier_reuse = 0;
                     out[global(p)] = (
@@ -1199,13 +1268,15 @@ impl<'a> TileEvaluator<'a> {
                 }
                 s.best_lb[p] = s.best_lb[p].max(s.exact[p] + s.lb[p] - s.err[p]);
                 s.best_ub[p] = s.best_ub[p].min(s.exact[p] + s.ub[p] + s.err[p]);
-                if rule.decides(s.best_lb[p], s.best_ub[p]) {
+                let d = job.offset_at(global(p));
+                let (lb, ub) = (s.best_lb[p] + d, s.best_ub[p] + d);
+                if job.rule.decides(lb, ub) {
                     let mut st = s.stats[p];
                     st.frontier_reuse = boxed_alive;
                     out[global(p)] = (
                         BudgetedEval {
-                            lb: s.best_lb[p],
-                            ub: s.best_ub[p],
+                            lb,
+                            ub,
                             exhausted: false,
                         },
                         st,
@@ -1218,20 +1289,20 @@ impl<'a> TileEvaluator<'a> {
         }
         self.finish = s;
     }
+}
 
-    fn fill_block(
-        &self,
-        raster: &RasterSpec,
-        block: (u32, u32, u32, u32),
-        out: &mut [(BudgetedEval, RefineStats)],
-        mut value: impl FnMut(usize) -> (BudgetedEval, RefineStats),
-    ) {
-        let (col0, row0, w, h) = block;
-        for row in row0..row0 + h {
-            for col in col0..col0 + w {
-                let idx = (row * raster.width() + col) as usize;
-                out[idx] = value(idx);
-            }
+/// Writes `value(idx)` to every raster pixel `idx` of a block.
+fn fill_block(
+    raster: &RasterSpec,
+    block: (u32, u32, u32, u32),
+    out: &mut [(BudgetedEval, RefineStats)],
+    mut value: impl FnMut(usize) -> (BudgetedEval, RefineStats),
+) {
+    let (col0, row0, w, h) = block;
+    for row in row0..row0 + h {
+        for col in col0..col0 + w {
+            let idx = (row * raster.width() + col) as usize;
+            out[idx] = value(idx);
         }
     }
 }
@@ -1433,5 +1504,71 @@ mod tests {
                 "pixel {i} was never written: {e:?}"
             );
         }
+    }
+
+    #[test]
+    fn offsets_enter_the_stop_test_for_every_rule() {
+        // The offset is a tombstone-like negative delta: it removes
+        // 90% of the tree's own density at every pixel, so a stop test
+        // on the base bracket alone would certify far too loose an
+        // answer for the remaining 10%.
+        let (ps, kernel) = setup(1500, 17);
+        let tree = KdTree::build_default(&ps);
+        let raster = raster_over(&ps, 24);
+        let mut pev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
+        let exact: Vec<f64> = (0..raster.num_pixels() as u32)
+            .map(|i| pev.eval_exact(&raster.pixel_center(i % 24, i / 24)))
+            .collect();
+        let offset: Vec<f64> = exact.iter().map(|f| -0.9 * f).collect();
+        let logical: Vec<f64> = exact.iter().map(|f| 0.1 * f).collect();
+        let mut sorted = logical.clone();
+        sorted.sort_by(f64::total_cmp);
+        let tau = 0.5 * (sorted[300] + sorted[301]);
+        let w = ps.total_weight();
+        let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
+        for rule in [
+            TileRule::Rel(0.05),
+            TileRule::Abs(1e-4 * w),
+            TileRule::Tau(tau),
+        ] {
+            let mut budget = RenderBudget::unlimited();
+            let tile = tev.eval_tile_with(&raster, rule, &offset, &mut budget, &mut NoProbe);
+            for (i, (e, &f)) in tile.evals.iter().zip(&logical).enumerate() {
+                let slack = 1e-9 * exact[i];
+                assert!(!e.exhausted);
+                assert!(
+                    e.lb <= f + slack && f <= e.ub + slack,
+                    "{rule:?} pixel {i}: [{}, {}] misses {f}",
+                    e.lb,
+                    e.ub
+                );
+                match rule {
+                    TileRule::Rel(eps) => assert!(e.ub <= (1.0 + eps) * e.lb + slack),
+                    TileRule::Abs(tol) => assert!(e.ub - e.lb <= 2.0 * tol),
+                    TileRule::Tau(tau) => assert_eq!(e.classify(tau).hot, f >= tau),
+                }
+            }
+        }
+        // An empty offset is the plain tile.
+        let mut budget = RenderBudget::unlimited();
+        let plain = tev.eval_tile_eps(&raster, 0.05, &mut budget);
+        let mut budget = RenderBudget::unlimited();
+        let zero = tev.eval_tile_with(
+            &raster,
+            TileRule::Rel(0.05),
+            &vec![0.0; raster.num_pixels()],
+            &mut budget,
+            &mut NoProbe,
+        );
+        assert_eq!(plain.evals, zero.evals);
+    }
+
+    #[test]
+    fn invalid_rules_are_rejected() {
+        assert!(TileRule::Rel(0.0).validate().is_err());
+        assert!(TileRule::Abs(f64::NAN).validate().is_err());
+        assert!(TileRule::Abs(-1.0).validate().is_err());
+        assert!(TileRule::Tau(-1.0).validate().is_err());
+        assert!(TileRule::Abs(1e-3).validate().is_ok());
     }
 }

@@ -39,17 +39,14 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use kdv_core::engine::{RefineEvaluator, RenderBudget};
-use kdv_core::error::KdvError;
 use kdv_core::kernel::{Kernel, KernelType};
-use kdv_core::raster::{DensityGrid, RasterSpec};
+use kdv_core::raster::RasterSpec;
 use kdv_geom::PointSet;
 use kdv_index::KdTree;
 use kdv_pyramid::{Pyramid, PyramidBuilder, PyramidConfig};
 use kdv_store::wal::fsync_dir;
 use kdv_store::{FsyncPolicy, SnapshotWriter, StoreError, WalOp, WalRecord, WalWriter};
 use kdv_telemetry::IngestCounters;
-use kdv_viz::render::BinaryGrid;
 
 use crate::catalog::{finish_entry, Catalog, DatasetEntry, DatasetSource};
 
@@ -172,6 +169,29 @@ impl DeltaView {
             delta -= p[2] * kernel.eval_dist2(d2(p));
         }
         delta
+    }
+
+    /// [`DeltaView::delta_at`] at every pixel center of `raster`,
+    /// row-major — the offset a tile render adds to the base density.
+    pub(crate) fn offsets(&self, raster: &RasterSpec, kernel: Kernel) -> Vec<f64> {
+        (0..raster.height())
+            .flat_map(|row| (0..raster.width()).map(move |col| (col, row)))
+            .map(|(col, row)| self.delta_at(&raster.pixel_center(col, row), kernel))
+            .collect()
+    }
+
+    /// The view a memtable holding exactly `ops` over `base` would give.
+    #[cfg(test)]
+    pub(crate) fn replay(base: &PointSet, ops: &[WalRecord]) -> Self {
+        let mut mem = Memtable::default();
+        for rec in ops {
+            mem.apply(rec, base);
+        }
+        Self {
+            appends: mem.appends,
+            removed: mem.removed,
+            epoch: mem.epoch,
+        }
     }
 }
 
@@ -651,7 +671,7 @@ pub(crate) fn compact(
 /// plus live appends — the same fold [`Memtable`] maintains
 /// incrementally, materialized. Deterministic in (base, ops), so a
 /// from-scratch rebuild after recovery is bit-for-bit identical.
-fn merge_points(base: &PointSet, ops: &[WalRecord]) -> PointSet {
+pub(crate) fn merge_points(base: &PointSet, ops: &[WalRecord]) -> PointSet {
     let mut scratch = Memtable::default();
     for rec in ops {
         scratch.apply_op(rec, base);
@@ -750,62 +770,6 @@ pub(crate) fn tile_intersects(base: &RasterSpec, z: u8, x: u32, y: u32, rect: &[
     let ty1 = wy1 - f64::from(y) * sy;
     let ty0 = wy1 - f64::from(y + 1) * sy;
     tx1 >= rect[0] && tx0 <= rect[1] && ty1 >= rect[2] && ty0 <= rect[3]
-}
-
-/// εKDV over the logical (base + memtable) point set: the base engine
-/// refines each pixel under `budget`, then the exact memtable delta is
-/// added on top. Returns the density grid and the budget-degraded
-/// pixel count.
-pub(crate) fn render_eps_delta(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    delta: &DeltaView,
-    kernel: Kernel,
-) -> Result<(DensityGrid, u64), KdvError> {
-    let mut grid = DensityGrid::zeros(raster.width(), raster.height());
-    let mut degraded = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let q = raster.pixel_center(col, row);
-            let e = ev.eval_eps_budgeted(&q, eps, budget)?;
-            grid.set(col, row, e.estimate() + delta.delta_at(&q, kernel));
-            degraded += u64::from(e.exhausted);
-        }
-    }
-    Ok((grid, degraded))
-}
-
-/// τKDV over the logical point set: each pixel classifies the base
-/// density against the *shifted* threshold `τ − δ(q)`. When the shift
-/// drives the threshold to zero or below, the pixel is hot without
-/// touching the engine (base density is never negative). Returns the
-/// mask and the undecided pixel count.
-pub(crate) fn render_tau_delta(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    delta: &DeltaView,
-    kernel: Kernel,
-) -> Result<(BinaryGrid, u64), KdvError> {
-    let mut mask = BinaryGrid::falses(raster.width(), raster.height());
-    let mut undecided = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let q = raster.pixel_center(col, row);
-            let shifted = tau - delta.delta_at(&q, kernel);
-            if shifted <= 0.0 {
-                mask.set(col, row, true);
-            } else {
-                let t = ev.eval_tau_budgeted(&q, shifted, budget)?;
-                mask.set(col, row, t.hot);
-                undecided += u64::from(!t.decided);
-            }
-        }
-    }
-    Ok((mask, undecided))
 }
 
 #[cfg(test)]

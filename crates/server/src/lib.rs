@@ -30,7 +30,7 @@ pub mod cache;
 pub mod catalog;
 pub mod http;
 mod ingest;
-mod pyramid;
+mod render;
 pub mod server;
 pub mod tile;
 

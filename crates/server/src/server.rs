@@ -47,45 +47,31 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::{BudgetPolicy, RefineEvaluator, TileEvaluator};
+use kdv_core::engine::BudgetPolicy;
 use kdv_core::error::KdvError;
 use kdv_core::kernel::Kernel;
-use kdv_core::raster::RasterSpec;
-use kdv_geom::{Mbr, PointSet};
-use kdv_index::{KdTree, NodeId};
+use kdv_geom::PointSet;
+use kdv_index::KdTree;
 use kdv_store::{FsyncPolicy, WalOp};
 use kdv_telemetry::json::{self, Value};
 use kdv_telemetry::{
     DepthProfile, HttpCounters, IngestCounters, LogHistogram, PromWriter, PyramidCounters,
-    RenderMetrics, TagValue, Trace, TraceBuilder, TraceId, TraceMeta, TraceRing,
+    RenderMetrics, TagValue, Trace, TraceBuilder, TraceId, TraceMeta, TraceRing, TracingProbe,
     MAX_TRACKED_LEVELS,
 };
-use kdv_viz::colormap::render_binary;
-use kdv_viz::render::BinaryGrid;
-use kdv_viz::tile_render::{
-    pyramid_raster, render_tile_eps, render_tile_eps_batched, render_tile_eps_batched_probed,
-    render_tile_eps_probed, render_tile_tau, render_tile_tau_batched,
-    render_tile_tau_batched_probed, render_tile_tau_probed, TileImage,
-};
-use kdv_viz::tiles::{certify_box, BoxCertification};
+use kdv_viz::tile_render::{paint_eps_tile, paint_tau_tile, pyramid_raster};
 use kdv_viz::{png, ColorMap};
 
 use crate::cache::{TileCache, TileKey};
 use crate::catalog::{finish_entry, Catalog, DatasetEntry, DatasetSource, RenderSettings};
 use crate::http::{read_request_from, text_response, Request, RequestError, Response};
 use crate::ingest::{self, CommitError, DeltaView, IngestState};
-use crate::pyramid::{self, FULL_LEVEL};
+use crate::render::{pick_level, TilePlan, FULL_LEVEL};
 use crate::tile::{parse_tile_path, valid_dataset_name, TileAddr, TileKind};
 
 /// Per-connection socket timeouts: a stuck client costs a worker at
 /// most this long.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Upper bound on remembered τ-tile frontiers (see
-/// [`Inner::frontiers`]); beyond it new frontiers are simply not
-/// recorded — children fall back to the kd-tree root, which is
-/// correct, just slower.
-const MAX_STORED_FRONTIERS: usize = 1 << 16;
 
 /// Longest `/debug/sleep/{ms}` pause honored.
 const MAX_DEBUG_SLEEP_MS: u64 = 10_000;
@@ -99,9 +85,10 @@ pub struct ServerConfig {
     pub tile_size: u32,
     /// Deepest zoom level served (tile addresses beyond it are `400`).
     pub max_z: u8,
-    /// Deepest zoom level the coreset pyramid may answer; deeper tiles
-    /// always render from the full index. Pyramid routing additionally
-    /// requires a certified level with `ε_s ≤ ε/2`.
+    /// Deepest zoom level the coreset pyramid may answer ε tiles at;
+    /// deeper tiles, and every τ tile, render from the full index.
+    /// Pyramid routing additionally requires a certified level with
+    /// `ε_s ≤ ε/2`.
     pub pyramid_max_z: u8,
     /// εKDV error tolerance.
     pub eps: f64,
@@ -168,10 +155,6 @@ pub struct ServerConfig {
     /// `--no-simd` turns it off process-wide (the scalar path is
     /// bit-identical; this is an escape hatch for triage).
     pub simd: bool,
-    /// Route cold base-index tiles through the tile-batched frontier
-    /// engine instead of independent per-pixel refinement. Off
-    /// (`--no-batch`), every pixel refines from the kd-tree root.
-    pub batch: bool,
 }
 
 impl Default for ServerConfig {
@@ -203,7 +186,6 @@ impl Default for ServerConfig {
             memtable_points: 8192,
             compact_points: 2048,
             simd: true,
-            batch: true,
         }
     }
 }
@@ -272,10 +254,6 @@ impl From<KdvError> for ServeError {
     }
 }
 
-/// Inherited τ-certification frontiers, keyed by dataset slot + tile
-/// address (τ tiles only — ε tiles have no transferable certificate).
-type FrontierMap = HashMap<(u32, u8, u32, u32), Arc<Vec<NodeId>>>;
-
 /// The fixed span taxonomy, in pipeline order. Every traced request
 /// passes through a subset of these; `/metrics` exposes one latency
 /// histogram per stage under this exact name set.
@@ -333,7 +311,7 @@ impl RequestTrace {
 }
 
 /// Shared immutable server state plus the few mutable rendezvous
-/// points (cache shards, metrics, frontiers — each behind its own
+/// points (cache shards, metrics, ingest — each behind its own
 /// fine-grained lock or atomic).
 struct Inner {
     /// Every dataset this server fronts. Single-dataset mode is a
@@ -346,25 +324,15 @@ struct Inner {
     tau: f64,
     cm: ColorMap,
     policy: BudgetPolicy,
-    /// Cold base-index tiles refine through the tile-batched frontier
-    /// engine (shared bound work amortized across the pixel block);
-    /// `--no-batch` falls back to independent per-pixel refinement.
-    batch: bool,
     max_z: u8,
     /// Deepest zoom the coreset pyramid may answer.
     pyramid_max_z: u8,
-    /// Which level (or the full index) served each render, plus the
-    /// τ-band exact-fallback pixel tally.
+    /// Which level (or the full index) served each render.
     pyramid: PyramidCounters,
     cache: TileCache,
     http: HttpCounters,
     /// Live merged refinement telemetry across all tile renders.
     metrics: Mutex<RenderMetrics>,
-    /// Parent→child bound reuse: an undecided τ tile's refined node
-    /// frontier is valid for all four children (bounds certified for a
-    /// box hold for any sub-box), so children start refinement there
-    /// instead of at the kd-tree root.
-    frontiers: Mutex<FrontierMap>,
     startup: StartupReport,
     shutdown: AtomicBool,
     allow_shutdown: bool,
@@ -509,14 +477,12 @@ impl TileServer {
             tau: config.tau,
             cm: ColorMap::heat(),
             policy: config.policy,
-            batch: config.batch,
             max_z: config.max_z,
             pyramid_max_z: config.pyramid_max_z,
             pyramid: PyramidCounters::default(),
             cache: TileCache::new(config.cache_bytes, config.cache_shards),
             http: HttpCounters::default(),
             metrics: Mutex::new(RenderMetrics::new()),
-            frontiers: Mutex::new(HashMap::new()),
             startup,
             shutdown: AtomicBool::new(false),
             allow_shutdown: config.allow_shutdown,
@@ -1151,7 +1117,16 @@ fn tile_response(inner: &Arc<Inner>, path: &str, rt: &mut RequestTrace) -> Respo
     // The pyramid level is part of the tile's identity: it is decided
     // *before* the cache lookup from the entry state alone, so hits
     // and misses agree on which bytes a key names.
-    let mut level = pyramid::pick_level(&entry.pyramid, addr.z, inner.pyramid_max_z, inner.eps);
+    let pick = |entry: &DatasetEntry| {
+        pick_level(
+            &entry.pyramid,
+            addr.kind,
+            addr.z,
+            inner.pyramid_max_z,
+            inner.eps,
+        )
+    };
+    let mut level = pick(&entry);
     let mut key = TileKey {
         dataset: idx as u32,
         addr,
@@ -1193,7 +1168,6 @@ fn tile_response(inner: &Arc<Inner>, path: &str, rt: &mut RequestTrace) -> Respo
         let rendered = render_tile(
             inner,
             &entry,
-            idx as u32,
             addr,
             rt,
             delta.as_ref().filter(|d| !d.is_empty()),
@@ -1219,7 +1193,7 @@ fn tile_response(inner: &Arc<Inner>, path: &str, rt: &mut RequestTrace) -> Respo
                 // Compaction re-certifies the ladder; the new base may
                 // route this tile to a different level, so re-pick and
                 // re-key before the retry render.
-                level = pyramid::pick_level(&entry.pyramid, addr.z, inner.pyramid_max_z, inner.eps);
+                level = pick(&entry);
                 key.level = level_byte(level);
                 continue;
             }
@@ -1616,16 +1590,10 @@ fn run_compaction(inner: &Inner, idx: usize, state: &IngestState) {
         Ok(None) => {}
         Ok(Some(_)) => {
             let dataset = idx as u32;
-            // The base changed wholesale: every cached tile and every
-            // stored τ frontier for this dataset describes the old
-            // tree's summation order and node ids.
+            // The base changed wholesale: every cached tile for this
+            // dataset describes the old tree's summation order.
             let dropped = inner.cache.invalidate_where(|k| k.dataset == dataset);
             inner.ingest_counters.invalidated(dropped);
-            inner
-                .frontiers
-                .lock()
-                .expect("frontier map poisoned")
-                .retain(|k, _| k.0 != dataset);
         }
         Err(message) => {
             inner.ingest_counters.compaction_failure();
@@ -1704,16 +1672,16 @@ fn dataset_stats(inner: &Arc<Inner>, idx: usize) -> Response {
 /// the server-wide aggregate. Returns the encoded PNG and the number
 /// of budget-degraded pixels.
 ///
-/// When the request is traced, the refinement runs with a
-/// [`DepthProfile`] teed into the engine's probe, so the `render` span
-/// carries the work attribution (heap pops, bound evaluations, point
-/// evaluations, resyncs, and pops-by-depth); the untraced path keeps
-/// the plain `NoProbe`-monomorphized renderer.
-#[allow(clippy::too_many_arguments)]
+/// Every tile is one batched engine call; the kind, the level pick and
+/// the memtable only choose its tree, stop rule and per-pixel offset
+/// ([`TilePlan`], which states each path's contract). When the request
+/// is traced, the engine runs with a [`DepthProfile`] teed into its
+/// probe, so the `render` span carries the work attribution (heap pops,
+/// bound evaluations, point evaluations, resyncs, and pops-by-depth);
+/// untraced renders feed only the event counters.
 fn render_tile(
     inner: &Inner,
     entry: &DatasetEntry,
-    dataset: u32,
     addr: TileAddr,
     rt: &mut RequestTrace,
     delta: Option<&DeltaView>,
@@ -1722,167 +1690,28 @@ fn render_tile(
     let raster = pyramid_raster(&entry.base, addr.z, addr.x, addr.y)?;
     let mut metrics = RenderMetrics::new();
     let mut depth = DepthProfile::new();
-    let traced = rt.tb.is_enabled();
     let render_span = rt.tb.begin("render");
-    let picked = level.and_then(|l| entry.pyramid.levels().get(l).map(|lv| (l, lv)));
-    match picked {
-        Some((l, _)) => inner.pyramid.level_render(l),
+    let start = Instant::now();
+    let plan = TilePlan::new(
+        entry, addr.kind, level, inner.eps, inner.tau, &raster, delta,
+    );
+    match level {
+        Some(l) => inner.pyramid.level_render(l),
         None => inner.pyramid.full_render(),
     }
-    let tile = if let Some((_, lv)) = picked {
-        // Pyramid path: the level's certificate plus an absolute
-        // refinement budget replace the relative per-pixel contract;
-        // memtable deltas are exact so both tile kinds merge them
-        // without touching the certificate (DESIGN.md §14).
-        let w = entry.tree.points().total_weight();
-        let mut budget = inner.policy.issue();
-        match addr.kind {
-            TileKind::Eps => {
-                let abs_tol = (inner.eps - lv.eps_s) * w;
-                let mut ev = RefineEvaluator::new(&lv.tree, entry.kernel, inner.family);
-                let (grid, degraded_pixels) = pyramid::render_eps_pyramid(
-                    &mut ev,
-                    &raster,
-                    abs_tol,
-                    &mut budget,
-                    delta,
-                    entry.kernel,
-                )?;
-                TileImage {
-                    image: inner
-                        .cm
-                        .render_scaled(&grid, entry.scale.0, entry.scale.1, true),
-                    degraded_pixels,
-                }
-            }
-            TileKind::Tau => {
-                let mut level_ev = RefineEvaluator::new(&lv.tree, entry.kernel, inner.family);
-                let mut full_ev = RefineEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                let out = pyramid::render_tau_pyramid(
-                    &mut level_ev,
-                    &mut full_ev,
-                    &raster,
-                    inner.tau,
-                    lv.eps_s * w,
-                    &mut budget,
-                    delta,
-                    entry.kernel,
-                )?;
-                inner.pyramid.tau_exact_fallback(out.fallback_pixels);
-                TileImage {
-                    image: render_binary(&out.mask),
-                    degraded_pixels: out.undecided,
-                }
-            }
-        }
+    let mut budget = inner.policy.issue();
+    let events = &mut metrics.events;
+    let tile = if rt.tb.is_enabled() {
+        let mut probe = TracingProbe::new(events, &mut depth);
+        plan.eval(inner.family, &raster, &mut budget, &mut probe)?
     } else {
-        match (addr.kind, delta) {
-            // Memtable non-empty: the exact per-pixel delta path. τ box
-            // certification and frontier reuse are base-only machinery, so
-            // they are bypassed here (and never polluted with merged
-            // state — frontiers survive writes untouched).
-            (TileKind::Eps, Some(delta)) => {
-                let mut budget = inner.policy.issue();
-                let mut ev = RefineEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                let (grid, degraded_pixels) = ingest::render_eps_delta(
-                    &mut ev,
-                    &raster,
-                    inner.eps,
-                    &mut budget,
-                    delta,
-                    entry.kernel,
-                )?;
-                TileImage {
-                    image: inner
-                        .cm
-                        .render_scaled(&grid, entry.scale.0, entry.scale.1, true),
-                    degraded_pixels,
-                }
-            }
-            (TileKind::Tau, Some(delta)) => {
-                let mut budget = inner.policy.issue();
-                let mut ev = RefineEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                let (mask, degraded_pixels) = ingest::render_tau_delta(
-                    &mut ev,
-                    &raster,
-                    inner.tau,
-                    &mut budget,
-                    delta,
-                    entry.kernel,
-                )?;
-                TileImage {
-                    image: render_binary(&mask),
-                    degraded_pixels,
-                }
-            }
-            (TileKind::Eps, None) => {
-                let mut budget = inner.policy.issue();
-                if inner.batch {
-                    // Cold-render hot path: one shared node frontier
-                    // bounds the whole pixel block, so per-pixel
-                    // refinement starts deep in the tree instead of at
-                    // the root. Same ε contract, same budget units.
-                    let mut tev = TileEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                    if traced {
-                        render_tile_eps_batched_probed(
-                            &mut tev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                            &mut depth,
-                        )?
-                    } else {
-                        render_tile_eps_batched(
-                            &mut tev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                        )?
-                    }
-                } else {
-                    let mut ev = RefineEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                    if traced {
-                        render_tile_eps_probed(
-                            &mut ev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                            &mut depth,
-                        )?
-                    } else {
-                        render_tile_eps(
-                            &mut ev,
-                            &raster,
-                            inner.eps,
-                            &mut budget,
-                            &inner.cm,
-                            entry.scale,
-                            &mut metrics,
-                        )?
-                    }
-                }
-            }
-            (TileKind::Tau, None) => render_tau_tile(
-                inner,
-                entry,
-                dataset,
-                addr,
-                &raster,
-                &mut metrics,
-                traced,
-                &mut depth,
-            )?,
-        }
+        plan.eval(inner.family, &raster, &mut budget, events)?
     };
+    let tile = match addr.kind {
+        TileKind::Eps => paint_eps_tile(&raster, &tile, &inner.cm, entry.scale, &mut metrics),
+        TileKind::Tau => paint_tau_tile(&raster, &tile.classify(inner.tau), &mut metrics),
+    };
+    metrics.set_wall_ns(start.elapsed().as_nanos() as u64);
     rt.tb.end_with(
         render_span,
         vec![
@@ -1909,92 +1738,6 @@ fn render_tile(
         vec![("bytes", TagValue::U64(bytes.len() as u64))],
     );
     Ok((bytes, tile.degraded_pixels))
-}
-
-/// τ tiles go through box certification first: if the whole tile's
-/// bound bracket clears τ the tile is painted wholesale without
-/// touching the per-pixel engine. Either way, the refined frontier is
-/// inherited from the parent tile and (when undecided) recorded for
-/// the children — the same reuse that makes the hierarchical τ
-/// renderer cheap, applied across pyramid levels.
-#[allow(clippy::too_many_arguments)]
-fn render_tau_tile(
-    inner: &Inner,
-    entry: &DatasetEntry,
-    dataset: u32,
-    addr: TileAddr,
-    raster: &RasterSpec,
-    metrics: &mut RenderMetrics,
-    traced: bool,
-    depth: &mut DepthProfile,
-) -> Result<TileImage, KdvError> {
-    let a = raster.pixel_center(0, 0);
-    let b = raster.pixel_center(raster.width() - 1, raster.height() - 1);
-    let tile_box = Mbr::new(
-        vec![a[0].min(b[0]), a[1].min(b[1])],
-        vec![a[0].max(b[0]), a[1].max(b[1])],
-    );
-    let inherited: Arc<Vec<NodeId>> = if addr.z == 0 {
-        Arc::new(vec![entry.tree.root()])
-    } else {
-        let parents = inner.frontiers.lock().expect("frontier map poisoned");
-        parents
-            .get(&(dataset, addr.z - 1, addr.x / 2, addr.y / 2))
-            .cloned()
-            .unwrap_or_else(|| Arc::new(vec![entry.tree.root()]))
-    };
-    match certify_box(&entry.tree, entry.kernel, inner.tau, &tile_box, &inherited) {
-        BoxCertification::Decided(hot) => {
-            let mut mask = BinaryGrid::falses(raster.width(), raster.height());
-            if hot {
-                for row in 0..raster.height() {
-                    for col in 0..raster.width() {
-                        mask.set(col, row, true);
-                    }
-                }
-            }
-            Ok(TileImage {
-                image: render_binary(&mask),
-                degraded_pixels: 0,
-            })
-        }
-        BoxCertification::Undecided(frontier) => {
-            if addr.z < inner.max_z {
-                let mut map = inner.frontiers.lock().expect("frontier map poisoned");
-                if map.len() < MAX_STORED_FRONTIERS {
-                    map.insert((dataset, addr.z, addr.x, addr.y), Arc::new(frontier));
-                }
-            }
-            let mut budget = inner.policy.issue();
-            if inner.batch {
-                // Box certification was inconclusive, so the tile pays
-                // for refinement; the batched engine re-derives its own
-                // (deeper) shared frontier from the root, which
-                // subsumes what the inherited certificate frontier
-                // would have seeded per-pixel.
-                let mut tev = TileEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                if traced {
-                    render_tile_tau_batched_probed(
-                        &mut tev,
-                        raster,
-                        inner.tau,
-                        &mut budget,
-                        metrics,
-                        depth,
-                    )
-                } else {
-                    render_tile_tau_batched(&mut tev, raster, inner.tau, &mut budget, metrics)
-                }
-            } else {
-                let mut ev = RefineEvaluator::new(&entry.tree, entry.kernel, inner.family);
-                if traced {
-                    render_tile_tau_probed(&mut ev, raster, inner.tau, &mut budget, metrics, depth)
-                } else {
-                    render_tile_tau(&mut ev, raster, inner.tau, &mut budget, metrics)
-                }
-            }
-        }
-    }
 }
 
 /// The `/metrics` document: HTTP + cache counters and the merged
@@ -2024,7 +1767,7 @@ fn metrics_json(inner: &Inner) -> Value {
     };
     store_fields.push(("catalog".to_string(), inner.catalog.status_json()));
     Value::obj(vec![
-        ("schema", Value::Str("kdv-serve-metrics/6".to_string())),
+        ("schema", Value::Str("kdv-serve-metrics/7".to_string())),
         (
             "uptime_ms",
             json::num_u(inner.started.elapsed().as_millis() as u64),
@@ -2282,11 +2025,6 @@ fn metrics_prometheus(inner: &Inner) -> String {
         "kdv_pyramid_renders_total",
         "Tile renders by the coreset level that served them.",
         &pyr_family,
-    );
-    w.counter(
-        "kdv_pyramid_tau_fallback_pixels_total",
-        "Tau-band pixels re-decided exactly against the full index.",
-        pyr.tau_exact_fallback_pixels as f64,
     );
     w.histogram(
         "kdv_ingest_ack_seconds",

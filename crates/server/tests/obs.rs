@@ -373,7 +373,7 @@ fn metrics_json_key_set_is_pinned() {
     );
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
-        Some("kdv-serve-metrics/6")
+        Some("kdv-serve-metrics/7")
     );
     assert_eq!(
         keys(doc.get("http").expect("http")),
@@ -403,12 +403,7 @@ fn metrics_json_key_set_is_pinned() {
     );
     assert_eq!(
         keys(doc.get("pyramid").expect("pyramid")),
-        [
-            "level_renders",
-            "pyramid_renders",
-            "full_renders",
-            "tau_exact_fallback_pixels"
-        ]
+        ["level_renders", "pyramid_renders", "full_renders"]
     );
     let trace = doc.get("trace").expect("trace");
     assert_eq!(

@@ -156,7 +156,7 @@ fn serves_the_full_pyramid_concurrently_with_cache_reuse() {
     let doc = json::parse(std::str::from_utf8(&body).expect("utf8")).expect("metrics JSON");
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
-        Some("kdv-serve-metrics/6")
+        Some("kdv-serve-metrics/7")
     );
     // Startup accounting is present and self-consistent.
     let startup = doc.get("startup").expect("startup block");

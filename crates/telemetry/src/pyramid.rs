@@ -24,9 +24,6 @@ pub struct PyramidCounters {
     /// Renders that fell back to the full index (deep zoom, no
     /// admissible level, or no pyramid at all).
     full_renders: AtomicU64,
-    /// τKDV pixels inside the `τ ∓ ε_s·W` band that were re-decided
-    /// exactly against the full index.
-    tau_exact_fallback_pixels: AtomicU64,
 }
 
 /// One reading of [`PyramidCounters`].
@@ -36,8 +33,6 @@ pub struct PyramidSnapshot {
     pub level_renders: [u64; MAX_TRACKED_LEVELS],
     /// Renders served by the full index.
     pub full_renders: u64,
-    /// τ-band pixels re-decided exactly.
-    pub tau_exact_fallback_pixels: u64,
 }
 
 impl PyramidCounters {
@@ -53,12 +48,6 @@ impl PyramidCounters {
         self.full_renders.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records `n` τ-band pixels re-decided against the full index.
-    pub fn tau_exact_fallback(&self, n: u64) {
-        self.tau_exact_fallback_pixels
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Reads every counter.
     pub fn snapshot(&self) -> PyramidSnapshot {
         let mut level_renders = [0u64; MAX_TRACKED_LEVELS];
@@ -68,7 +57,6 @@ impl PyramidCounters {
         PyramidSnapshot {
             level_renders,
             full_renders: self.full_renders.load(Ordering::Relaxed),
-            tau_exact_fallback_pixels: self.tau_exact_fallback_pixels.load(Ordering::Relaxed),
         }
     }
 }
@@ -80,8 +68,8 @@ impl PyramidSnapshot {
     }
 
     /// JSON object: per-level counts (trailing always-zero slots
-    /// trimmed, but the array never renders empty), full-index count,
-    /// and the τ fallback tally.
+    /// trimmed, but the array never renders empty) and the full-index
+    /// count.
     pub fn to_json(&self) -> Value {
         let used = self
             .level_renders
@@ -96,10 +84,6 @@ impl PyramidSnapshot {
             ("level_renders", Value::Arr(levels)),
             ("pyramid_renders", json::num_u(self.pyramid_renders())),
             ("full_renders", json::num_u(self.full_renders)),
-            (
-                "tau_exact_fallback_pixels",
-                json::num_u(self.tau_exact_fallback_pixels),
-            ),
         ])
     }
 }
@@ -116,14 +100,12 @@ mod tests {
         c.level_render(2);
         c.level_render(99); // folds into the last slot
         c.full_render();
-        c.tau_exact_fallback(17);
         let s = c.snapshot();
         assert_eq!(s.level_renders[0], 2);
         assert_eq!(s.level_renders[2], 1);
         assert_eq!(s.level_renders[MAX_TRACKED_LEVELS - 1], 1);
         assert_eq!(s.pyramid_renders(), 4);
         assert_eq!(s.full_renders, 1);
-        assert_eq!(s.tau_exact_fallback_pixels, 17);
     }
 
     #[test]

@@ -17,11 +17,11 @@ use crate::progressive::progressive_order;
 use crate::render::{
     BinaryGrid, BudgetedRender, BudgetedTauRender, ProgressiveCanvas, ProgressiveRender,
 };
-use kdv_core::engine::{NoProbe, Probe, RefineEvaluator, RenderBudget};
+use kdv_core::engine::{RefineEvaluator, RenderBudget};
 use kdv_core::error::KdvError;
 use kdv_core::query::validate_eps;
 use kdv_core::raster::{DensityGrid, RasterSpec};
-use kdv_telemetry::{RenderMetrics, TracingProbe};
+use kdv_telemetry::RenderMetrics;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
@@ -155,22 +155,6 @@ pub fn render_eps_budgeted_metered(
     budget: &mut RenderBudget,
     metrics: &mut RenderMetrics,
 ) -> Result<BudgetedRender, KdvError> {
-    render_eps_budgeted_metered_probed(ev, raster, eps, budget, metrics, &mut NoProbe)
-}
-
-/// [`render_eps_budgeted_metered`] with an additional caller-supplied
-/// probe teed alongside the metrics' event counters — the tile
-/// server's hook for per-request work attribution (e.g. a
-/// [`kdv_telemetry::DepthProfile`]). With [`NoProbe`] this
-/// monomorphizes to exactly the un-probed renderer.
-pub fn render_eps_budgeted_metered_probed<X: Probe>(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<BudgetedRender, KdvError> {
     let start = Instant::now();
     let mut grid = DensityGrid::zeros(raster.width(), raster.height());
     let mut error_map = DensityGrid::zeros(raster.width(), raster.height());
@@ -179,12 +163,7 @@ pub fn render_eps_budgeted_metered_probed<X: Probe>(
         for col in 0..raster.width() {
             let q = raster.pixel_center(col, row);
             let t0 = Instant::now();
-            let e = ev.eval_eps_budgeted_with(
-                &q,
-                eps,
-                budget,
-                &mut TracingProbe::new(&mut metrics.events, &mut *extra),
-            )?;
+            let e = ev.eval_eps_budgeted_with(&q, eps, budget, &mut metrics.events)?;
             let latency = t0.elapsed().as_nanos() as u64;
             grid.set(col, row, e.estimate());
             error_map.set(col, row, e.half_gap());
@@ -214,19 +193,6 @@ pub fn render_tau_budgeted_metered(
     budget: &mut RenderBudget,
     metrics: &mut RenderMetrics,
 ) -> Result<BudgetedTauRender, KdvError> {
-    render_tau_budgeted_metered_probed(ev, raster, tau, budget, metrics, &mut NoProbe)
-}
-
-/// [`render_tau_budgeted_metered`] with an additional caller-supplied
-/// probe, exactly as [`render_eps_budgeted_metered_probed`].
-pub fn render_tau_budgeted_metered_probed<X: Probe>(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<BudgetedTauRender, KdvError> {
     let start = Instant::now();
     let mut mask = BinaryGrid::falses(raster.width(), raster.height());
     let mut undecided_map = BinaryGrid::falses(raster.width(), raster.height());
@@ -235,12 +201,7 @@ pub fn render_tau_budgeted_metered_probed<X: Probe>(
         for col in 0..raster.width() {
             let q = raster.pixel_center(col, row);
             let t0 = Instant::now();
-            let t = ev.eval_tau_budgeted_with(
-                &q,
-                tau,
-                budget,
-                &mut TracingProbe::new(&mut metrics.events, &mut *extra),
-            )?;
+            let t = ev.eval_tau_budgeted_with(&q, tau, budget, &mut metrics.events)?;
             let latency = t0.elapsed().as_nanos() as u64;
             mask.set(col, row, t.hot);
             undecided_map.set(col, row, !t.decided);
@@ -664,76 +625,6 @@ mod tests {
         .expect("valid input");
         assert!(deg.degraded_pixels > 0);
         assert_eq!(m3.status, kdv_telemetry::RenderStatus::Degraded);
-    }
-
-    #[test]
-    fn probed_budgeted_render_is_bit_identical_and_attributes_depths() {
-        let (ps, kernel, raster) = setup();
-        let tree = KdTree::build_default(&ps);
-
-        let mut plain_ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut plain_budget = kdv_core::engine::RenderBudget::unlimited();
-        let mut plain_metrics = RenderMetrics::new();
-        let plain = render_eps_budgeted_metered(
-            &mut plain_ev,
-            &raster,
-            0.01,
-            &mut plain_budget,
-            &mut plain_metrics,
-        )
-        .expect("valid input");
-
-        let mut probed_ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut probed_budget = kdv_core::engine::RenderBudget::unlimited();
-        let mut probed_metrics = RenderMetrics::new();
-        let mut depth = kdv_telemetry::DepthProfile::new();
-        let probed = render_eps_budgeted_metered_probed(
-            &mut probed_ev,
-            &raster,
-            0.01,
-            &mut probed_budget,
-            &mut probed_metrics,
-            &mut depth,
-        )
-        .expect("valid input");
-
-        // The extra probe only observes: grids and shared counters are
-        // bit-identical to the un-probed render.
-        assert_eq!(plain.grid, probed.grid);
-        assert_eq!(plain.error_map, probed.error_map);
-        assert_eq!(plain_metrics.events, probed_metrics.events);
-        // Every heap pop lands in exactly one depth bin.
-        assert_eq!(depth.total(), probed_metrics.events.heap_pops);
-        assert!(depth.nonzero().len() > 1, "work spans multiple depths");
-    }
-
-    #[test]
-    fn probed_tau_render_attributes_every_pop() {
-        let (ps, kernel, raster) = setup();
-        let tree = KdTree::build_default(&ps);
-        let grid = render_eps(
-            &mut RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic),
-            &raster,
-            0.05,
-        );
-        let (lo, hi) = grid.min_max().expect("non-empty");
-        let tau = lo + 0.4 * (hi - lo);
-
-        let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut budget = kdv_core::engine::RenderBudget::unlimited();
-        let mut metrics = RenderMetrics::new();
-        let mut depth = kdv_telemetry::DepthProfile::new();
-        let out = render_tau_budgeted_metered_probed(
-            &mut ev,
-            &raster,
-            tau,
-            &mut budget,
-            &mut metrics,
-            &mut depth,
-        )
-        .expect("valid input");
-        assert_eq!(out.undecided, 0);
-        assert_eq!(depth.total(), metrics.events.heap_pops);
     }
 
     #[test]

@@ -7,20 +7,25 @@
 //! [`RasterSpec`]'s row-0-on-top orientation). [`pyramid_raster`] maps
 //! an address to the raster of exactly that window — via
 //! [`RasterSpec::sub_window`], the same pixel→data-space arithmetic
-//! the tiled τ renderer splits quadrants with — and the two
-//! `render_tile_*` helpers produce colormapped tile images under a
-//! per-request [`RenderBudget`], degrading to certified midpoints
-//! instead of overrunning.
+//! the tiled τ renderer splits quadrants with. The `render_tile_*`
+//! functions produce colormapped tile images under a per-request
+//! [`RenderBudget`], degrading to certified midpoints instead of
+//! overrunning: per-pixel ([`RefineEvaluator`], the reference) or
+//! tile-batched ([`TileEvaluator`]). A server that drives the batched
+//! engine itself paints its output with [`paint_eps_tile`] /
+//! [`paint_tau_tile`].
 
 use crate::colormap::ColorMap;
 use crate::image::RgbImage;
-use crate::metered::{render_eps_budgeted_metered_probed, render_tau_budgeted_metered_probed};
+use crate::metered::{render_eps_budgeted_metered, render_tau_budgeted_metered};
 use crate::render::BinaryGrid;
-use kdv_core::engine::{NoProbe, Probe, RefineEvaluator, RenderBudget, TileEvaluator};
+use kdv_core::engine::{
+    RefineEvaluator, RefineStats, RenderBudget, TileEps, TileEvaluator, TileTau,
+};
 use kdv_core::error::KdvError;
 use kdv_core::query::{validate_eps, validate_tau};
 use kdv_core::raster::{DensityGrid, RasterSpec};
-use kdv_telemetry::{RenderMetrics, TracingProbe};
+use kdv_telemetry::RenderMetrics;
 use std::time::Instant;
 
 /// Deepest zoom level a pyramid address may name. `tile_size << z`
@@ -93,11 +98,11 @@ impl TileImage {
     }
 }
 
-/// Renders one εKDV tile under `budget`, colormapped against the
-/// map-wide density range `(lo, hi)` (see [`ColorMap::render_scaled`]
-/// for why tiles must not self-normalize). Refinement telemetry
-/// accumulates into `metrics` — a long-running server merges these
-/// per-tile metrics into its live `/metrics` aggregate.
+/// Renders one εKDV tile under `budget` on the per-pixel engine,
+/// colormapped against the map-wide density range `(lo, hi)` (see
+/// [`ColorMap::render_scaled`] for why tiles must not self-normalize).
+/// Refinement telemetry accumulates into `metrics`. This is the
+/// reference the batched [`render_tile_eps_batched`] is tested against.
 pub fn render_tile_eps(
     ev: &mut RefineEvaluator<'_>,
     raster: &RasterSpec,
@@ -107,35 +112,17 @@ pub fn render_tile_eps(
     scale: (f64, f64),
     metrics: &mut RenderMetrics,
 ) -> Result<TileImage, KdvError> {
-    render_tile_eps_probed(ev, raster, eps, budget, cm, scale, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_eps`] with an additional caller-supplied probe teed
-/// into the refinement loop — how the tile server attributes one
-/// request's work (e.g. a [`kdv_telemetry::DepthProfile`]) without
-/// touching the shared metrics aggregate. [`NoProbe`] reduces it to
-/// the plain tile renderer.
-#[allow(clippy::too_many_arguments)]
-pub fn render_tile_eps_probed<X: Probe>(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    cm: &ColorMap,
-    scale: (f64, f64),
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
-    let out = render_eps_budgeted_metered_probed(ev, raster, eps, budget, metrics, extra)?;
+    let out = render_eps_budgeted_metered(ev, raster, eps, budget, metrics)?;
     Ok(TileImage {
         image: cm.render_scaled(&out.grid, scale.0, scale.1, true),
         degraded_pixels: out.degraded_pixels,
     })
 }
 
-/// Renders one τKDV tile under `budget` with the paper's two-color
-/// convention; undecided pixels count as degraded. Telemetry
-/// accumulates into `metrics` as in [`render_tile_eps`].
+/// Renders one τKDV tile under `budget` on the per-pixel engine with
+/// the paper's two-color convention; undecided pixels count as
+/// degraded. Telemetry accumulates into `metrics` as in
+/// [`render_tile_eps`].
 pub fn render_tile_tau(
     ev: &mut RefineEvaluator<'_>,
     raster: &RasterSpec,
@@ -143,20 +130,7 @@ pub fn render_tile_tau(
     budget: &mut RenderBudget,
     metrics: &mut RenderMetrics,
 ) -> Result<TileImage, KdvError> {
-    render_tile_tau_probed(ev, raster, tau, budget, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_tau`] with an additional caller-supplied probe,
-/// exactly as [`render_tile_eps_probed`].
-pub fn render_tile_tau_probed<X: Probe>(
-    ev: &mut RefineEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
-    let out = render_tau_budgeted_metered_probed(ev, raster, tau, budget, metrics, extra)?;
+    let out = render_tau_budgeted_metered(ev, raster, tau, budget, metrics)?;
     Ok(TileImage {
         image: crate::colormap::render_binary(&out.mask),
         degraded_pixels: out.undecided,
@@ -166,8 +140,7 @@ pub fn render_tile_tau_probed<X: Probe>(
 /// [`render_tile_eps`] on the tile-batched refinement path: one shared
 /// node frontier per pixel block instead of a fresh root-to-leaf
 /// refinement per pixel (see [`TileEvaluator`]). Same per-pixel ε
-/// contract, same budget accounting, same colormap pipeline — the
-/// cold-tile fast path the server uses unless `--no-batch` disables it.
+/// contract, same budget accounting, same colormap pipeline.
 pub fn render_tile_eps_batched(
     tev: &mut TileEvaluator<'_>,
     raster: &RasterSpec,
@@ -177,53 +150,12 @@ pub fn render_tile_eps_batched(
     scale: (f64, f64),
     metrics: &mut RenderMetrics,
 ) -> Result<TileImage, KdvError> {
-    render_tile_eps_batched_probed(tev, raster, eps, budget, cm, scale, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_eps_batched`] with an additional caller-supplied
-/// probe, mirroring [`render_tile_eps_probed`].
-///
-/// Per-pixel latency is not individually attributable on the batched
-/// path (block-level work is shared), so the latency histogram
-/// receives zeros; wall time and every event counter stay accurate.
-#[allow(clippy::too_many_arguments)]
-pub fn render_tile_eps_batched_probed<X: Probe>(
-    tev: &mut TileEvaluator<'_>,
-    raster: &RasterSpec,
-    eps: f64,
-    budget: &mut RenderBudget,
-    cm: &ColorMap,
-    scale: (f64, f64),
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
     validate_eps(eps)?;
     let start = Instant::now();
-    let tile = tev.eval_tile_eps_with(
-        raster,
-        eps,
-        budget,
-        &mut TracingProbe::new(&mut metrics.events, &mut *extra),
-    );
-    let mut grid = DensityGrid::zeros(raster.width(), raster.height());
-    let mut degraded_pixels = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let idx = (row * raster.width() + col) as usize;
-            let e = tile.evals[idx];
-            grid.set(col, row, e.estimate());
-            metrics.record_pixel(col, row, &tile.stats[idx], 0);
-            if e.exhausted {
-                degraded_pixels += 1;
-                metrics.mark_degraded_pixel();
-            }
-        }
-    }
+    let tile = tev.eval_tile_eps_with(raster, eps, budget, &mut metrics.events);
+    let image = paint_eps_tile(raster, &tile, cm, scale, metrics);
     metrics.set_wall_ns(start.elapsed().as_nanos() as u64);
-    Ok(TileImage {
-        image: cm.render_scaled(&grid, scale.0, scale.1, true),
-        degraded_pixels,
-    })
+    Ok(image)
 }
 
 /// [`render_tile_tau`] on the tile-batched refinement path; with an
@@ -235,46 +167,74 @@ pub fn render_tile_tau_batched(
     budget: &mut RenderBudget,
     metrics: &mut RenderMetrics,
 ) -> Result<TileImage, KdvError> {
-    render_tile_tau_batched_probed(tev, raster, tau, budget, metrics, &mut NoProbe)
-}
-
-/// [`render_tile_tau_batched`] with an additional caller-supplied
-/// probe, exactly as [`render_tile_eps_batched_probed`].
-pub fn render_tile_tau_batched_probed<X: Probe>(
-    tev: &mut TileEvaluator<'_>,
-    raster: &RasterSpec,
-    tau: f64,
-    budget: &mut RenderBudget,
-    metrics: &mut RenderMetrics,
-    extra: &mut X,
-) -> Result<TileImage, KdvError> {
     validate_tau(tau)?;
     let start = Instant::now();
-    let tile = tev.eval_tile_tau_with(
-        raster,
-        tau,
-        budget,
-        &mut TracingProbe::new(&mut metrics.events, &mut *extra),
-    );
+    let tile = tev.eval_tile_tau_with(raster, tau, budget, &mut metrics.events);
+    let image = paint_tau_tile(raster, &tile, metrics);
+    metrics.set_wall_ns(start.elapsed().as_nanos() as u64);
+    Ok(image)
+}
+
+/// Colormaps a batched εKDV tile's per-pixel estimates against the
+/// map-wide `scale` and meters every pixel into `metrics`.
+///
+/// Per-pixel latency is not individually attributable on the batched
+/// path (block-level work is shared), so the latency histogram
+/// receives zeros; the caller times the tile and the probe feeds every
+/// event counter.
+pub fn paint_eps_tile(
+    raster: &RasterSpec,
+    tile: &TileEps,
+    cm: &ColorMap,
+    scale: (f64, f64),
+    metrics: &mut RenderMetrics,
+) -> TileImage {
+    let degraded_pixels = meter_pixels(raster, &tile.stats, |i| tile.evals[i].exhausted, metrics);
+    let values = tile.evals.iter().map(|e| e.estimate()).collect();
+    let grid = DensityGrid::from_values(raster.width(), raster.height(), values);
+    TileImage {
+        image: cm.render_scaled(&grid, scale.0, scale.1, true),
+        degraded_pixels,
+    }
+}
+
+/// Paints a batched τKDV tile's mask and meters every pixel, as
+/// [`paint_eps_tile`]; undecided pixels count as degraded.
+pub fn paint_tau_tile(
+    raster: &RasterSpec,
+    tile: &TileTau,
+    metrics: &mut RenderMetrics,
+) -> TileImage {
+    let degraded_pixels = meter_pixels(raster, &tile.stats, |i| !tile.taus[i].decided, metrics);
     let mut mask = BinaryGrid::falses(raster.width(), raster.height());
-    let mut undecided = 0u64;
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let idx = (row * raster.width() + col) as usize;
-            let t = tile.taus[idx];
-            mask.set(col, row, t.hot);
-            metrics.record_pixel(col, row, &tile.stats[idx], 0);
-            if !t.decided {
-                undecided += 1;
-                metrics.mark_degraded_pixel();
-            }
+    for (i, t) in tile.taus.iter().enumerate() {
+        let i = i as u32;
+        mask.set(i % raster.width(), i / raster.width(), t.hot);
+    }
+    TileImage {
+        image: crate::colormap::render_binary(&mask),
+        degraded_pixels,
+    }
+}
+
+/// Records each pixel's finishing stats (row-major) and counts the
+/// degraded ones.
+fn meter_pixels(
+    raster: &RasterSpec,
+    stats: &[RefineStats],
+    degraded: impl Fn(usize) -> bool,
+    metrics: &mut RenderMetrics,
+) -> u64 {
+    let mut count = 0u64;
+    for (i, st) in stats.iter().enumerate() {
+        let i32 = i as u32;
+        metrics.record_pixel(i32 % raster.width(), i32 / raster.width(), st, 0);
+        if degraded(i) {
+            count += 1;
+            metrics.mark_degraded_pixel();
         }
     }
-    metrics.set_wall_ns(start.elapsed().as_nanos() as u64);
-    Ok(TileImage {
-        image: crate::colormap::render_binary(&mask),
-        degraded_pixels: undecided,
-    })
+    count
 }
 
 #[cfg(test)]
