@@ -6,6 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::RefineEvaluator;
 use kdv_core::kernel::Kernel;
+use kdv_core::method::PixelEvaluator;
 use kdv_data::Dataset;
 use kdv_index::{BuildConfig, KdTree};
 use std::hint::black_box;

@@ -13,6 +13,7 @@ use kdv_core::bandwidth::scott_gamma;
 use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::{RefineEvaluator, RenderBudget, TileEvaluator};
 use kdv_core::kernel::Kernel;
+use kdv_core::method::PixelEvaluator;
 use kdv_core::raster::RasterSpec;
 use kdv_data::Dataset;
 use kdv_index::KdTree;

@@ -15,6 +15,7 @@ use crate::workload::Workload;
 use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::RefineEvaluator;
 use kdv_core::kernel::KernelType;
+use kdv_core::method::PixelEvaluator;
 use kdv_data::Dataset;
 
 const EPS: f64 = 0.01;

@@ -12,7 +12,7 @@
 
 use crate::figures::FigureCtx;
 use crate::report::Table;
-use crate::workload::{fmt_cell, time_eps_render, time_eps_render_metered, Workload};
+use crate::workload::{fmt_cell, time_eps_render, time_eps_render_with_metrics, Workload};
 use kdv_core::kernel::KernelType;
 use kdv_core::method::MethodKind;
 use kdv_data::Dataset;
@@ -49,13 +49,13 @@ pub fn run(ctx: &FigureCtx) -> Vec<Table> {
             let mut row = vec![format!("{eps}")];
             for m in METHODS {
                 let cell = match m.bound_family() {
-                    // Bound-based methods time through the probed path,
-                    // which also yields the refinement-event counts.
+                    // Bound-based methods time through the metered
+                    // render, which also yields the refinement-event
+                    // counts.
                     Some(family) => {
                         let mut metrics = RenderMetrics::new();
-                        let mut ev = w.refine_evaluator(family);
-                        let cell = time_eps_render_metered(
-                            &mut ev,
+                        let cell = time_eps_render_with_metrics(
+                            || w.refine_evaluator(family),
                             &w.raster,
                             eps,
                             ctx.scale.cell_budget,

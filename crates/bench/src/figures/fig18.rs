@@ -7,10 +7,11 @@
 
 use crate::figures::FigureCtx;
 use crate::report::Table;
-use crate::workload::Workload;
+use crate::workload::{eps_trace, Workload};
 use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::RefineEvaluator;
 use kdv_core::kernel::KernelType;
+use kdv_core::method::PixelEvaluator;
 use kdv_data::Dataset;
 
 const EPS: f64 = 0.01;
@@ -42,13 +43,11 @@ pub fn run(ctx: &FigureCtx) -> Vec<Table> {
         }
     }
 
-    let mut karl_trace = Vec::new();
     let mut karl = RefineEvaluator::new(&w.tree, w.kernel, BoundFamily::Linear);
-    karl.eval_eps_traced(&best_q, EPS, &mut karl_trace);
+    let karl_trace = eps_trace(&mut karl, &best_q, EPS);
 
-    let mut quad_trace = Vec::new();
     let mut quad = RefineEvaluator::new(&w.tree, w.kernel, BoundFamily::Quadratic);
-    quad.eval_eps_traced(&best_q, EPS, &mut quad_trace);
+    let quad_trace = eps_trace(&mut quad, &best_q, EPS);
 
     let mut t = Table::new(
         format!(

@@ -3,6 +3,7 @@
 
 use crate::figures::FigureCtx;
 use crate::report::Table;
+use crate::workload::eps_trace;
 use kdv_core::bandwidth::scott_gamma;
 use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::RefineEvaluator;
@@ -36,8 +37,7 @@ pub fn run_table3(ctx: &FigureCtx) -> Vec<Table> {
     let q = [0.5, 0.5];
 
     let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-    let mut trace = Vec::new();
-    ev.eval_eps_traced(&q, 1e-6, &mut trace);
+    let trace = eps_trace(&mut ev, &q, 1e-6);
 
     let mut t = Table::new(
         "Table 3 — running steps of the refinement framework (toy tree, pixel q = (0.5, 0.5))",

@@ -2,7 +2,7 @@
 
 use kdv_core::bandwidth::scott_gamma_for;
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::RefineEvaluator;
+use kdv_core::engine::{Probe, RefineEvaluator, RenderBudget, TileRule};
 use kdv_core::kernel::{Kernel, KernelType};
 use kdv_core::method::{make_evaluator, MethodKind, MethodParams, PixelEvaluator};
 use kdv_core::raster::RasterSpec;
@@ -10,6 +10,7 @@ use kdv_data::Dataset;
 use kdv_geom::PointSet;
 use kdv_index::KdTree;
 use kdv_telemetry::RenderMetrics;
+use kdv_viz::render::{render, RenderOpts};
 use std::time::{Duration, Instant};
 
 /// How far below paper scale an experiment runs.
@@ -195,33 +196,54 @@ pub fn time_eps_render(
     Some(start.elapsed().as_secs_f64())
 }
 
-/// Times a full-raster εKDV render through the instrumented path:
-/// refinement events, per-pixel histograms, and (if configured) the
-/// cost map accumulate into `metrics`. Censoring matches
-/// [`time_eps_render`]; on a censored run `metrics` holds the partial
-/// render's counts and no wall time.
-pub fn time_eps_render_metered(
-    ev: &mut RefineEvaluator<'_>,
+/// Times a full-raster εKDV render of the refinement engine through
+/// [`render`] with `metrics` attached: refinement events, per-pixel
+/// histograms, and (if configured) the cost map accumulate into it.
+/// `budget` is the render's deadline; a run that hits it is censored
+/// like [`time_eps_render`]'s (its remaining pixels degrade to root
+/// bounds, so it still ends promptly).
+pub fn time_eps_render_with_metrics<'t>(
+    make_ev: impl FnMut() -> RefineEvaluator<'t>,
     raster: &RasterSpec,
     eps: f64,
     budget: Duration,
     metrics: &mut RenderMetrics,
 ) -> CellTime {
     let start = Instant::now();
-    for row in 0..raster.height() {
-        for col in 0..raster.width() {
-            let q = raster.pixel_center(col, row);
-            let t0 = Instant::now();
-            std::hint::black_box(ev.eval_eps_with(&q, eps, &mut metrics.events));
-            let latency = t0.elapsed().as_nanos() as u64;
-            metrics.record_pixel(col, row, &ev.last_stats(), latency);
-        }
-        if start.elapsed() > budget {
-            return None;
-        }
+    let mut deadline = RenderBudget::unlimited().with_deadline(budget);
+    let opts = RenderOpts {
+        metrics: Some(metrics),
+        ..RenderOpts::default()
+    };
+    let out = render(make_ev, raster, TileRule::Rel(eps), &mut deadline, opts)
+        .expect("valid εKDV render");
+    std::hint::black_box(out);
+    (!deadline.is_exhausted()).then(|| start.elapsed().as_secs_f64())
+}
+
+/// A probe recording the per-pixel loop's bracket after every step:
+/// the bound-convergence trace of Fig 18 and Table 3.
+#[derive(Debug, Default)]
+struct BracketTrace(Vec<(f64, f64)>);
+
+impl Probe for BracketTrace {
+    fn bracket(&mut self, lb: f64, ub: f64) {
+        self.0.push((lb, ub));
     }
-    metrics.set_wall_ns(start.elapsed().as_nanos() as u64);
-    Some(start.elapsed().as_secs_f64())
+}
+
+/// The bracket trace of one εKDV query at `q`, from the root bounds to
+/// the step that meets ε.
+pub fn eps_trace(ev: &mut RefineEvaluator<'_>, q: &[f64], eps: f64) -> Vec<(f64, f64)> {
+    let mut trace = BracketTrace::default();
+    ev.eval(
+        q,
+        TileRule::Rel(eps),
+        &mut RenderBudget::unlimited(),
+        &mut trace,
+    )
+    .expect("valid εKDV query");
+    trace.0
 }
 
 /// Times a full-raster τKDV render under the budget.
@@ -294,10 +316,9 @@ mod tests {
     #[test]
     fn metered_timing_accumulates_events() {
         let w = Workload::build_with_n(Dataset::Crime, KernelType::Gaussian, 1000, (12, 9), 7);
-        let mut ev = w.refine_evaluator(BoundFamily::Quadratic);
         let mut metrics = RenderMetrics::new();
-        let t = time_eps_render_metered(
-            &mut ev,
+        let t = time_eps_render_with_metrics(
+            || w.refine_evaluator(BoundFamily::Quadratic),
             &w.raster,
             0.05,
             Duration::from_secs(30),

@@ -12,11 +12,10 @@ pub struct Args {
 }
 
 /// Flags that take no value.
-const BOOLEAN_FLAGS: [&str; 11] = [
+const BOOLEAN_FLAGS: [&str; 10] = [
     "help",
     "weights",
     "grayscale",
-    "tiled",
     "verbose",
     "allow-shutdown",
     "debug-sleep",

@@ -4,7 +4,7 @@ use crate::args::Args;
 use kdv_cluster::{Router, RouterConfig, Supervisor, SupervisorConfig};
 use kdv_core::bandwidth::{try_scott_gamma_for, Bandwidth};
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::{BudgetPolicy, RefineEvaluator, RenderBudget};
+use kdv_core::engine::{BudgetPolicy, RefineEvaluator, RenderBudget, TileEvaluator, TileRule};
 use kdv_core::kernel::{Kernel, KernelType};
 use kdv_core::query::{
     validate_eps, validate_gamma, validate_raster_dims, validate_tau, validate_threads,
@@ -19,13 +19,9 @@ use kdv_sampling::{sample_size_for, zorder_sample};
 use kdv_server::{ServerConfig, TileServer};
 use kdv_store::{Snapshot, SnapshotWriter};
 use kdv_telemetry::RenderMetrics;
-use kdv_viz::colormap::{render_binary, ColorMap};
-use kdv_viz::metered::{
-    render_eps_budgeted_metered, render_eps_metered, render_eps_parallel_budgeted_metered,
-    render_eps_parallel_metered, render_eps_progressive_metered, render_tau_metered,
-};
-use kdv_viz::parallel::render_eps_parallel;
-use kdv_viz::render::{render_eps, render_eps_progressive, render_tau};
+use kdv_viz::colormap::ColorMap;
+use kdv_viz::render::{render as render_raster, PixelOrder, RenderOpts};
+use kdv_viz::tile_render::paint_tau_tile;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -280,52 +276,33 @@ pub fn render(args: &Args) -> Result<(), String> {
     // A deadline starts ticking here, after parsing and indexing: the
     // budget governs rendering work, not input preparation.
     let budget = budget_from_args(args)?;
-    let grid = match budget {
-        Some(mut budget) => {
-            let out = if threads == 1 {
-                render_eps_budgeted_metered(&mut make_ev(), &raster, eps, &mut budget, &mut metrics)
-            } else {
-                render_eps_parallel_budgeted_metered(
-                    make_ev,
-                    &raster,
-                    eps,
-                    threads,
-                    &mut budget,
-                    &mut metrics,
-                )
-            }
-            .map_err(|e| e.to_string())?;
-            if out.degraded_pixels > 0 {
-                println!(
-                    "budget exhausted after {} work units: {} of {} pixels are \
-                     best-effort midpoints (see --error-map for certified bounds)",
-                    budget.work_done(),
-                    out.degraded_pixels,
-                    raster.num_pixels()
-                );
-            }
-            if let Some(path) = &error_map_path {
-                save_image(&ColorMap::heat().render(&out.error_map, true), path)?;
-                println!("error map → {}", path.display());
-            }
-            out.grid
-        }
-        None => {
-            if error_map_path.is_some() {
-                return Err("--error-map needs a budget (--max-work or --deadline-ms); \
-                     an unbudgeted render's certified error is ε everywhere"
-                    .into());
-            }
-            match (telemetry.wanted(), threads) {
-                (true, 1) => render_eps_metered(&mut make_ev(), &raster, eps, &mut metrics),
-                (true, _) => {
-                    render_eps_parallel_metered(make_ev, &raster, eps, threads, &mut metrics)
-                }
-                (false, 1) => render_eps(&mut make_ev(), &raster, eps),
-                (false, _) => render_eps_parallel(make_ev, &raster, eps, threads),
-            }
-        }
+    if budget.is_none() && error_map_path.is_some() {
+        return Err("--error-map needs a budget (--max-work or --deadline-ms); \
+             an unbudgeted render's certified error is ε everywhere"
+            .into());
+    }
+    let mut budget = budget.unwrap_or_default();
+    let opts = RenderOpts {
+        threads,
+        order: PixelOrder::RowMajor,
+        metrics: telemetry.wanted().then_some(&mut metrics),
     };
+    let out = render_raster(make_ev, &raster, TileRule::Rel(eps), &mut budget, opts)
+        .map_err(|e| e.to_string())?;
+    let degraded = out.degraded();
+    if degraded > 0 {
+        println!(
+            "budget exhausted after {} work units: {degraded} of {} pixels are \
+             best-effort midpoints (see --error-map for certified bounds)",
+            budget.work_done(),
+            raster.num_pixels()
+        );
+    }
+    if let Some(path) = &error_map_path {
+        save_image(&ColorMap::heat().render(&out.error_map(), true), path)?;
+        println!("error map → {}", path.display());
+    }
+    let grid = out.grid();
     let elapsed = t0.elapsed();
     let cm = if args.has("grayscale") {
         ColorMap::grayscale()
@@ -351,7 +328,7 @@ pub fn render(args: &Args) -> Result<(), String> {
 pub fn hotspot(args: &Args) -> Result<(), String> {
     if args.has("help") {
         println!(
-            "kdv hotspot <points.csv> [--out hot.ppm] [--tau T | --tau-sigma K] [--tiled]\n\
+            "kdv hotspot <points.csv> [--out hot.ppm] [--tau T | --tau-sigma K]\n\
              \x20           [--width 640] [--height 480] [--kernel ...] [--gamma G] [--weights]\n\
              \x20           [--metrics m.json] [--cost-map cost.ppm] [--verbose]"
         );
@@ -359,13 +336,6 @@ pub fn hotspot(args: &Args) -> Result<(), String> {
     }
     let input = load_input(args)?;
     let telemetry = Telemetry::from_args(args);
-    if args.has("tiled") && telemetry.wanted() {
-        return Err(
-            "--tiled decides pixels wholesale outside the refinement engine; \
-             it cannot be combined with --metrics/--cost-map/--verbose"
-                .into(),
-        );
-    }
     let raster = raster_for(args, &input.points)?;
     let tree = KdTree::try_build_default(&input.points).map_err(|e| e.to_string())?;
     let tau = match args.get("tau") {
@@ -388,36 +358,30 @@ pub fn hotspot(args: &Args) -> Result<(), String> {
         }
     };
     let t0 = Instant::now();
-    let mask = if args.has("tiled") {
-        let (mask, stats) = kdv_viz::tiles::render_tau_tiled(
-            &tree,
-            input.kernel,
-            BoundFamily::Quadratic,
-            &raster,
-            tau,
-        );
-        println!(
-            "tile pruning: {} tiles decided {} pixels wholesale, {} per-pixel",
-            stats.tiles_decided, stats.pixels_via_tiles, stats.pixels_via_engine
-        );
-        mask
-    } else {
-        let mut ev = RefineEvaluator::new(&tree, input.kernel, BoundFamily::Quadratic);
-        if telemetry.wanted() {
-            let mut metrics = telemetry.new_metrics(&raster);
-            let mask = render_tau_metered(&mut ev, &raster, tau, &mut metrics);
-            telemetry.emit(&metrics, "tau")?;
-            mask
-        } else {
-            render_tau(&mut ev, &raster, tau)
-        }
-    };
+    // The whole raster is one tile of the batched engine: blocks whose
+    // bracket clears τ are decided wholesale, the rest per pixel — the
+    // same exact classification as a per-pixel render, in less work.
+    let mut tev = TileEvaluator::new(&tree, input.kernel, BoundFamily::Quadratic);
+    let mut metrics = telemetry.new_metrics(&raster);
+    let tile = tev.eval_tile_with(
+        &raster,
+        TileRule::Tau(tau),
+        &[],
+        &mut RenderBudget::unlimited(),
+        &mut metrics.events,
+    );
+    let mask = tile.classify(tau);
+    let hot = mask.taus.iter().filter(|t| t.hot).count();
+    let image = paint_tau_tile(&raster, &mask, &mut metrics).image;
+    metrics.set_wall_ns(t0.elapsed().as_nanos() as u64);
+    if telemetry.wanted() {
+        telemetry.emit(&metrics, "tau")?;
+    }
     let elapsed = t0.elapsed();
     let out = out_path(args, "hotspot.ppm");
-    save_image(&render_binary(&mask), &out)?;
+    save_image(&image, &out)?;
     println!(
-        "τKDV in {elapsed:.2?}: {} of {} pixels hot → {}",
-        mask.count_hot(),
+        "τKDV in {elapsed:.2?}: {hot} of {} pixels hot → {}",
         raster.num_pixels(),
         out.display()
     );
@@ -441,23 +405,26 @@ pub fn progressive(args: &Args) -> Result<(), String> {
     let telemetry = Telemetry::from_args(args);
     let raster = raster_for(args, &input.points)?;
     let tree = KdTree::try_build_default(&input.points).map_err(|e| e.to_string())?;
-    let mut ev = RefineEvaluator::new(&tree, input.kernel, BoundFamily::Quadratic);
-    let budget = Some(Duration::from_millis(budget_ms));
-    let out = if telemetry.wanted() {
-        let mut metrics = telemetry.new_metrics(&raster);
-        let out = render_eps_progressive_metered(&mut ev, &raster, eps, budget, &mut metrics);
-        telemetry.emit(&metrics, "progressive")?;
-        out
-    } else {
-        render_eps_progressive(&mut ev, &raster, eps, budget)
+    let make_ev = || RefineEvaluator::new(&tree, input.kernel, BoundFamily::Quadratic);
+    let mut metrics = telemetry.new_metrics(&raster);
+    let mut budget = RenderBudget::unlimited().with_deadline(Duration::from_millis(budget_ms));
+    let opts = RenderOpts {
+        threads: 1,
+        order: PixelOrder::Progressive,
+        metrics: telemetry.wanted().then_some(&mut metrics),
     };
+    let out = render_raster(make_ev, &raster, TileRule::Rel(eps), &mut budget, opts)
+        .map_err(|e| e.to_string())?;
+    if telemetry.wanted() {
+        telemetry.emit(&metrics, "progressive")?;
+    }
     let path = out_path(args, "progressive.ppm");
-    save_image(&ColorMap::heat().render(&out.grid, true), &path)?;
+    save_image(&ColorMap::heat().render(&out.grid(), true), &path)?;
     println!(
         "progressive render: {} of {} pixels in ≤ {budget_ms} ms ({}) → {}",
         out.evaluated,
         raster.num_pixels(),
-        if out.complete {
+        if out.is_complete() {
             "complete"
         } else {
             "partial, fully painted"
@@ -1400,18 +1367,47 @@ mod tests {
         assert!(!cps.is_empty(), "progressive metrics record checkpoints");
     }
 
+    /// Metering and threading never change a rendered byte: one code
+    /// path renders them all. Hotspot maps always come from the tile
+    /// engine, so the old tiled switch is gone.
     #[test]
-    fn hotspot_rejects_tiled_with_metrics() {
-        let csv_path = tmp("tiled_metrics.csv");
-        std::fs::write(&csv_path, "0.0,0.0\n1.0,1.0\n0.5,0.5\n").expect("write");
-        let err = hotspot(&args(&[
+    fn outputs_are_identical_with_metrics_and_threads() {
+        let csv_path = tmp("identical.csv");
+        synth(&args(&[
+            "--dataset",
+            "crime",
+            "--n",
+            "800",
+            "--out",
             csv_path.to_str().expect("utf8"),
-            "--tiled",
-            "--metrics",
-            tmp("nope.json").to_str().expect("utf8"),
         ]))
-        .expect_err("tiled + metrics must be rejected");
-        assert!(err.contains("--tiled"), "unexpected error: {err}");
+        .expect("synth");
+        let p = csv_path.to_str().expect("utf8");
+        let json = tmp("identical.json");
+        let json = json.to_str().expect("utf8");
+        let run = |cmd: fn(&Args) -> Result<(), String>, name: &str, extra: &[&str]| {
+            let out = tmp(name);
+            let mut flags = vec![p, "--out", out.to_str().expect("utf8")];
+            flags.extend_from_slice(&["--width", "20", "--height", "15"]);
+            flags.extend_from_slice(extra);
+            cmd(&args(&flags)).expect(name);
+            std::fs::read(&out).expect("read output")
+        };
+        let plain = run(render, "identical_plain.ppm", &[]);
+        assert_eq!(plain, run(render, "identical_m.ppm", &["--metrics", json]));
+        assert_eq!(plain, run(render, "identical_t.ppm", &["--threads", "3"]));
+        let both = ["--threads", "3", "--metrics", json];
+        assert_eq!(plain, run(render, "identical_tm.ppm", &both));
+        let hot = run(hotspot, "identical_hot.ppm", &[]);
+        assert_eq!(
+            hot,
+            run(hotspot, "identical_hot_m.ppm", &["--metrics", json])
+        );
+        let removed_switch = [p.to_string(), format!("--{}", "tiled")];
+        assert!(
+            Args::parse(&removed_switch).is_err(),
+            "not a switch any more"
+        );
     }
 
     #[test]

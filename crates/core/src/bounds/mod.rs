@@ -341,9 +341,9 @@ pub fn quad_assemble_consts() -> kdv_geom::simd::QuadAssembleConsts {
 ///
 /// Built from box-to-box distances and the (robust) interval family —
 /// the chord/tangent families are per-query and do not lift to boxes
-/// cheaply. This is the primitive behind tile-level τKDV pruning
-/// (`kdv-viz::tiles`): when the whole dataset's box bounds fall on one
-/// side of τ, an entire pixel block classifies at once.
+/// cheaply. This is the primitive behind the tile engine's block
+/// decisions ([`crate::engine::TileEvaluator`]): when a block's box
+/// bounds decide the rule, every pixel of the block is decided at once.
 #[inline]
 pub fn box_bounds(kernel: &Kernel, stats: &NodeStats, mbr: &Mbr, query_box: &Mbr) -> Interval {
     if stats.weight <= 0.0 {

@@ -10,7 +10,7 @@
 //! current bracket `[lb, ub]` instead of panicking or spinning: the
 //! midpoint is the best-effort answer and the half-gap is a certified
 //! upper bound on its absolute error, which renderers surface as a
-//! per-pixel achieved-error map (see `kdv-viz`'s budgeted renderers).
+//! per-pixel achieved-error map (see `kdv-viz`'s `render`).
 
 use std::time::{Duration, Instant};
 

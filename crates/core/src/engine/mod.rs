@@ -6,6 +6,10 @@
 //! illustrates: pop the widest node, replace its bound contribution with
 //! its children's bounds (or its exact sum, for leaves), stop as soon as
 //! the incremental global bounds satisfy the query's termination test.
+//! That test is a [`TileRule`] — relative ε, absolute tolerance, or τ —
+//! shared with the tile-batched [`TileEvaluator`], so both engines have
+//! one query each: [`RefineEvaluator::eval`] and
+//! [`TileEvaluator::eval_tile_with`].
 
 //!
 //! Instrumentation: the loop is generic over a [`Probe`] receiving one
@@ -15,11 +19,12 @@
 //! `kdv-telemetry` crate builds render-wide metrics on top of this.
 
 //!
-//! Robustness: every public query has a fallible `try_*` twin that
-//! rejects bad input with [`crate::error::KdvError`], and a
-//! `*_budgeted` twin that degrades gracefully under a [`RenderBudget`]
-//! (work/deadline cap) instead of refining forever — see the [`budget`]
-//! module.
+//! Robustness: [`RefineEvaluator::eval`] rejects bad input with
+//! [`crate::error::KdvError`] and degrades gracefully under a
+//! [`RenderBudget`] (work/deadline cap) instead of refining forever —
+//! see the [`budget`] module. The panicking `eval_eps` / `eval_tau` of
+//! its [`crate::method::PixelEvaluator`] impl are the paper's Table 6
+//! interface, shared with the non-bound baselines.
 
 pub mod budget;
 mod probe;

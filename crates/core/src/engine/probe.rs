@@ -19,7 +19,9 @@
 //! * [`Probe::leaf_scan`] — a leaf was refined to its exact sum,
 //!   with the number of point-kernel evaluations it cost,
 //! * [`Probe::resync`] — the incremental global sums were recomputed
-//!   from the heap because tracked rounding error grew too large.
+//!   from the heap because tracked rounding error grew too large,
+//! * [`Probe::bracket`] — the per-pixel loop's certified bracket after
+//!   each step (the convergence traces of Fig 18 and Table 3).
 
 /// Observer of refinement-loop events (see the module docs).
 ///
@@ -55,6 +57,15 @@ pub trait Probe {
     /// rounding-error resync).
     #[inline]
     fn resync(&mut self) {}
+
+    /// The per-pixel query's certified bracket `[lb, ub]` after each
+    /// refinement step, starting with the root bounds. Successive
+    /// brackets nest (the loop reports the monotone envelope), which is
+    /// what the paper's Fig 18 and Table 3 plot.
+    #[inline]
+    fn bracket(&mut self, lb: f64, ub: f64) {
+        let _ = (lb, ub);
+    }
 
     /// Consulted once per refinement iteration: return `true` to force
     /// an immediate resync pass even though the tracked rounding error
@@ -108,6 +119,11 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     }
 
     #[inline]
+    fn bracket(&mut self, lb: f64, ub: f64) {
+        (**self).bracket(lb, ub);
+    }
+
+    #[inline]
     fn force_resync(&mut self) -> bool {
         (**self).force_resync()
     }
@@ -124,6 +140,7 @@ mod tests {
         points: usize,
         resyncs: usize,
         depth_sum: u32,
+        brackets: usize,
     }
 
     impl Probe for Recorder {
@@ -142,6 +159,9 @@ mod tests {
         fn resync(&mut self) {
             self.resyncs += 1;
         }
+        fn bracket(&mut self, _lb: f64, _ub: f64) {
+            self.brackets += 1;
+        }
     }
 
     #[test]
@@ -154,13 +174,21 @@ mod tests {
             p.node_bound();
             p.leaf_scan(7);
             p.resync();
+            p.bracket(0.0, 1.0);
             assert!(!p.force_resync(), "default hook never forces");
         }
         let mut r = Recorder::default();
         drive(&mut r);
         assert_eq!(
-            (r.pops, r.bounds, r.points, r.resyncs, r.depth_sum),
-            (1, 1, 7, 1, 5),
+            (
+                r.pops,
+                r.bounds,
+                r.points,
+                r.resyncs,
+                r.depth_sum,
+                r.brackets
+            ),
+            (1, 1, 7, 1, 5, 1),
             "forwarded events must land in the wrapped probe"
         );
     }
@@ -175,6 +203,7 @@ mod tests {
         p.node_bound();
         p.leaf_scan(123);
         p.resync();
+        p.bracket(0.0, 1.0);
         assert_eq!(p, NoProbe);
     }
 }

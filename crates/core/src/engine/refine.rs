@@ -1,11 +1,13 @@
 //! Per-pixel best-first refinement.
 
-use super::budget::{BudgetedEval, BudgetedTau, RenderBudget};
+use super::budget::{BudgetedEval, RenderBudget};
 use super::probe::{NoProbe, Probe};
+use super::tile::TileRule;
 use crate::bounds::{node_bounds_pre, BoundFamily, Interval};
 use crate::error::KdvError;
 use crate::kernel::Kernel;
-use crate::query::{validate_eps, validate_query_point, validate_tau};
+use crate::method::PixelEvaluator;
+use crate::query::validate_query_point;
 use kdv_index::{KdTree, NodeId, NodeKind};
 use std::collections::BinaryHeap;
 
@@ -101,15 +103,12 @@ pub struct RefineEvaluator<'a> {
     d2: Vec<f64>,
 }
 
-enum StopRule {
-    /// Terminate when `ub ≤ (1 + ε)·lb`.
-    Eps(f64),
-    /// Terminate when `ub − lb ≤ 2·t` (absolute-error contract: the
-    /// midpoint is then within `t` of the true density).
-    Abs(f64),
-    /// Terminate when `lb ≥ τ` or `ub ≤ τ`.
-    Tau(f64),
-    /// Refine until every node is exact (ground-truth evaluation).
+/// When the refinement loop stops.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// As soon as the bracket decides the rule.
+    Rule(TileRule),
+    /// Once every node is exact (ground-truth evaluation).
     Exhaust,
 }
 
@@ -137,220 +136,46 @@ impl<'a> RefineEvaluator<'a> {
         self.stats
     }
 
-    /// εKDV: returns an estimate `R(q)` with
-    /// `(1 − ε)·F_P(q) ≤ R(q) ≤ (1 + ε)·F_P(q)`.
+    /// The per-pixel query: refines `q` toward `rule` — the paper's
+    /// one branch-and-bound loop, εKDV and τKDV differing only in the
+    /// stop test (§3.2) — until the rule holds *or* `budget` runs out.
     ///
-    /// # Panics
-    /// Panics if `eps` is not positive and finite, or `q` has the wrong
-    /// dimensionality.
-    pub fn eval_eps(&mut self, q: &[f64], eps: f64) -> f64 {
-        self.eval_eps_with(q, eps, &mut NoProbe)
-    }
-
-    /// εKDV with an instrumentation [`Probe`] receiving one callback
-    /// per refinement event. `NoProbe` makes this identical (down to
-    /// the generated code) to [`RefineEvaluator::eval_eps`].
+    /// The returned [`BudgetedEval`] always brackets the true density.
+    /// When `exhausted` is set, `estimate()` is the best-effort midpoint
+    /// and `half_gap()` certifies its absolute error; under
+    /// [`TileRule::Tau`] the classification is
+    /// [`BudgetedEval::classify`]. Work spent (in
+    /// [`RefineStats::total_work`] units) accumulates into `budget`
+    /// across calls, so one budget caps a whole render. An unlimited
+    /// budget is charged once per query rather than per iteration, so
+    /// it costs the loop nothing.
     ///
-    /// # Panics
-    /// Panics if `eps` is not positive and finite, or `q` has the wrong
-    /// dimensionality.
-    pub fn eval_eps_with<P: Probe>(&mut self, q: &[f64], eps: f64, probe: &mut P) -> f64 {
-        assert!(eps.is_finite() && eps > 0.0, "ε must be positive");
-        let (lb, ub, _) = self.refine(q, StopRule::Eps(eps), None, probe, |_, _| {});
-        // With ub ≤ (1 + ε)·lb the midpoint's relative error is ≤ ε/2,
-        // comfortably within the contract.
-        0.5 * (lb + ub)
-    }
-
-    /// Fallible εKDV: rejects a non-positive/non-finite ε, a wrong-
-    /// dimension query, and non-finite query coordinates with a
-    /// structured [`KdvError`] instead of panicking.
-    pub fn try_eval_eps(&mut self, q: &[f64], eps: f64) -> Result<f64, KdvError> {
-        let eps = validate_eps(eps)?;
-        validate_query_point(q, self.tree.points().dim())?;
-        let (lb, ub, _) = self.refine(q, StopRule::Eps(eps), None, &mut NoProbe, |_, _| {});
-        Ok(0.5 * (lb + ub))
-    }
-
-    /// Fallible εKDV returning the bound bracket (see
-    /// [`RefineEvaluator::eval_eps_bounds`]).
-    pub fn try_eval_eps_bounds(&mut self, q: &[f64], eps: f64) -> Result<(f64, f64), KdvError> {
-        let eps = validate_eps(eps)?;
-        validate_query_point(q, self.tree.points().dim())?;
-        let (lb, ub, _) = self.refine(q, StopRule::Eps(eps), None, &mut NoProbe, |_, _| {});
-        Ok((lb, ub))
-    }
-
-    /// Budget-aware εKDV: refines until the ε contract holds *or*
-    /// `budget` runs out, whichever comes first. The returned
-    /// [`BudgetedEval`] always brackets the true density; when
-    /// `exhausted` is set, `estimate()` is the best-effort midpoint and
-    /// `half_gap()` certifies its absolute error.
-    ///
-    /// Work spent (in [`RefineStats::total_work`] units) accumulates
-    /// into `budget` across calls, so one budget caps a whole render.
-    pub fn eval_eps_budgeted(
+    /// Rejects an invalid rule, a wrong-dimension query and non-finite
+    /// query coordinates with a structured [`KdvError`].
+    pub fn eval<P: Probe>(
         &mut self,
         q: &[f64],
-        eps: f64,
-        budget: &mut RenderBudget,
-    ) -> Result<BudgetedEval, KdvError> {
-        self.eval_eps_budgeted_with(q, eps, budget, &mut NoProbe)
-    }
-
-    /// [`RefineEvaluator::eval_eps_budgeted`] with an instrumentation
-    /// [`Probe`].
-    pub fn eval_eps_budgeted_with<P: Probe>(
-        &mut self,
-        q: &[f64],
-        eps: f64,
+        rule: TileRule,
         budget: &mut RenderBudget,
         probe: &mut P,
     ) -> Result<BudgetedEval, KdvError> {
-        let eps = validate_eps(eps)?;
+        rule.validate()?;
         validate_query_point(q, self.tree.points().dim())?;
-        let (lb, ub, exhausted) =
-            self.refine(q, StopRule::Eps(eps), Some(budget), probe, |_, _| {});
-        Ok(BudgetedEval { lb, ub, exhausted })
-    }
-
-    /// Budget-aware εKDV under an **absolute** tolerance: refines until
-    /// `ub − lb ≤ 2·abs_tol` — so the midpoint estimate is within
-    /// `abs_tol` of the true density — or `budget` runs out. This is
-    /// the contract the coreset pyramid serves under: sampling error is
-    /// an absolute `ε_s·W` band, so the refinement share of the budget
-    /// must be absolute too for the two to add (`kdv-pyramid`).
-    pub fn eval_abs_budgeted(
-        &mut self,
-        q: &[f64],
-        abs_tol: f64,
-        budget: &mut RenderBudget,
-    ) -> Result<BudgetedEval, KdvError> {
-        self.eval_abs_budgeted_with(q, abs_tol, budget, &mut NoProbe)
-    }
-
-    /// [`RefineEvaluator::eval_abs_budgeted`] with an instrumentation
-    /// [`Probe`].
-    pub fn eval_abs_budgeted_with<P: Probe>(
-        &mut self,
-        q: &[f64],
-        abs_tol: f64,
-        budget: &mut RenderBudget,
-        probe: &mut P,
-    ) -> Result<BudgetedEval, KdvError> {
-        if !(abs_tol.is_finite() && abs_tol > 0.0) {
-            return Err(KdvError::invalid(
-                "abs_tol",
-                format!("absolute tolerance must be positive and finite, got {abs_tol}"),
-            ));
-        }
-        validate_query_point(q, self.tree.points().dim())?;
-        let (lb, ub, exhausted) =
-            self.refine(q, StopRule::Abs(abs_tol), Some(budget), probe, |_, _| {});
-        Ok(BudgetedEval { lb, ub, exhausted })
-    }
-
-    /// Budget-aware τKDV. When the budget runs out before the bracket
-    /// clears τ, `decided` is `false` and `hot` is the best-effort
-    /// midpoint classification.
-    pub fn eval_tau_budgeted(
-        &mut self,
-        q: &[f64],
-        tau: f64,
-        budget: &mut RenderBudget,
-    ) -> Result<BudgetedTau, KdvError> {
-        self.eval_tau_budgeted_with(q, tau, budget, &mut NoProbe)
-    }
-
-    /// [`RefineEvaluator::eval_tau_budgeted`] with an instrumentation
-    /// [`Probe`].
-    pub fn eval_tau_budgeted_with<P: Probe>(
-        &mut self,
-        q: &[f64],
-        tau: f64,
-        budget: &mut RenderBudget,
-        probe: &mut P,
-    ) -> Result<BudgetedTau, KdvError> {
-        let tau = validate_tau(tau)?;
-        validate_query_point(q, self.tree.points().dim())?;
-        let (lb, ub, exhausted) =
-            self.refine(q, StopRule::Tau(tau), Some(budget), probe, |_, _| {});
-        Ok(BudgetedTau {
-            hot: if exhausted {
-                0.5 * (lb + ub) >= tau
-            } else {
-                lb >= tau
-            },
-            decided: !exhausted,
-        })
-    }
-
-    /// εKDV returning the final bound bracket `(lb, ub)` with
-    /// `lb ≤ F_P(q) ≤ ub` and `ub ≤ (1 + ε)·lb`.
-    ///
-    /// Downstream consumers that *combine* densities — e.g. the
-    /// kernel-regression ratio of [`crate::regress`] — need the bracket
-    /// rather than a point estimate to keep their own guarantees.
-    ///
-    /// # Panics
-    /// Panics if `eps` is not positive and finite.
-    pub fn eval_eps_bounds(&mut self, q: &[f64], eps: f64) -> (f64, f64) {
-        assert!(eps.is_finite() && eps > 0.0, "ε must be positive");
-        let (lb, ub, _) = self.refine(q, StopRule::Eps(eps), None, &mut NoProbe, |_, _| {});
-        (lb, ub)
-    }
-
-    /// εKDV with a per-iteration bound trace appended to `trace`
-    /// (drives the paper's Fig 18 convergence study).
-    pub fn eval_eps_traced(&mut self, q: &[f64], eps: f64, trace: &mut Vec<(f64, f64)>) -> f64 {
-        assert!(eps.is_finite() && eps > 0.0, "ε must be positive");
-        let (lb, ub, _) = self.refine(q, StopRule::Eps(eps), None, &mut NoProbe, |l, u| {
-            trace.push((l, u))
-        });
-        0.5 * (lb + ub)
-    }
-
-    /// τKDV: returns `true` iff `F_P(q) ≥ τ`.
-    ///
-    /// # Panics
-    /// Panics if `tau` is not finite.
-    pub fn eval_tau(&mut self, q: &[f64], tau: f64) -> bool {
-        self.eval_tau_with(q, tau, &mut NoProbe)
-    }
-
-    /// τKDV with an instrumentation [`Probe`] (see
-    /// [`RefineEvaluator::eval_eps_with`]).
-    ///
-    /// # Panics
-    /// Panics if `tau` is not finite.
-    pub fn eval_tau_with<P: Probe>(&mut self, q: &[f64], tau: f64, probe: &mut P) -> bool {
-        assert!(tau.is_finite(), "τ must be finite");
-        let (lb, ub, _) = self.refine(q, StopRule::Tau(tau), None, probe, |_, _| {});
-        // Termination gives lb ≥ τ (above) or ub ≤ τ (below); when both
-        // hold (lb = ub = τ) the ≥ branch matches exact classification.
-        if lb >= tau {
-            true
+        let (lb, ub, exhausted) = if budget.is_limited() {
+            self.refine(q, Stop::Rule(rule), Some(budget), probe)
         } else {
-            debug_assert!(ub <= tau);
-            false
-        }
-    }
-
-    /// Fallible τKDV: rejects a non-finite or negative τ, a wrong-
-    /// dimension query, and non-finite query coordinates with a
-    /// structured [`KdvError`] instead of panicking.
-    pub fn try_eval_tau(&mut self, q: &[f64], tau: f64) -> Result<bool, KdvError> {
-        let tau = validate_tau(tau)?;
-        validate_query_point(q, self.tree.points().dim())?;
-        let (lb, _ub, _) = self.refine(q, StopRule::Tau(tau), None, &mut NoProbe, |_, _| {});
-        Ok(lb >= tau)
+            let out = self.refine(q, Stop::Rule(rule), None, probe);
+            budget.charge(self.stats.total_work() as u64);
+            out
+        };
+        Ok(BudgetedEval { lb, ub, exhausted })
     }
 
     /// Exact `F_P(q)` by fully refining (used for ground truth in tests
     /// and quality experiments; prefer [`crate::method::ExactScan`] for
     /// the paper's EXACT baseline timing).
     pub fn eval_exact(&mut self, q: &[f64]) -> f64 {
-        let (lb, _ub, _) = self.refine(q, StopRule::Exhaust, None, &mut NoProbe, |_, _| {});
+        let (lb, _ub, _) = self.refine(q, Stop::Exhaust, None, &mut NoProbe);
         lb
     }
 
@@ -359,10 +184,9 @@ impl<'a> RefineEvaluator<'a> {
     fn refine<P: Probe>(
         &mut self,
         q: &[f64],
-        rule: StopRule,
+        rule: Stop,
         budget: Option<&mut RenderBudget>,
         probe: &mut P,
-        mut observe: impl FnMut(f64, f64),
     ) -> (f64, f64, bool) {
         assert_eq!(
             q.len(),
@@ -383,7 +207,7 @@ impl<'a> RefineEvaluator<'a> {
             .node(self.tree.root())
             .stats
             .translate_query(q, &mut qt);
-        let result = self.refine_loop(q, &qt, rule, budget, probe, &mut observe);
+        let result = self.refine_loop(q, &qt, rule, budget, probe);
         self.qt = qt;
         result
     }
@@ -393,10 +217,9 @@ impl<'a> RefineEvaluator<'a> {
         &mut self,
         q: &[f64],
         qt: &[f64],
-        rule: StopRule,
+        rule: Stop,
         mut budget: Option<&mut RenderBudget>,
         probe: &mut P,
-        observe: &mut impl FnMut(f64, f64),
     ) -> (f64, f64, bool) {
         let root = self.tree.root();
         let rb = self.bounds_of(root, q, qt);
@@ -450,26 +273,11 @@ impl<'a> RefineEvaluator<'a> {
             }
             best_lb = best_lb.max(exact_acc + lb_sum - err);
             best_ub = best_ub.min(exact_acc + ub_sum + err);
-            observe(best_lb, best_ub);
-            match rule {
-                StopRule::Eps(eps) => {
-                    if best_ub <= (1.0 + eps) * best_lb {
-                        return (best_lb, best_ub, false);
-                    }
+            probe.bracket(best_lb, best_ub);
+            if let Stop::Rule(rule) = rule {
+                if rule.decides(best_lb, best_ub) {
+                    return (best_lb, best_ub, false);
                 }
-                StopRule::Abs(t) => {
-                    if best_ub - best_lb <= 2.0 * t {
-                        return (best_lb, best_ub, false);
-                    }
-                }
-                StopRule::Tau(tau) => {
-                    // Strict `<` on the upper side: at `F = τ` exactly the
-                    // query must refine to exhaustion and answer "hot".
-                    if best_lb >= tau || best_ub < tau {
-                        return (best_lb, best_ub, false);
-                    }
-                }
-                StopRule::Exhaust => {}
             }
             // Budget exhaustion is checked *after* the envelope update,
             // so the returned bracket always reflects at least the root
@@ -560,6 +368,37 @@ impl<'a> RefineEvaluator<'a> {
     }
 }
 
+/// The Table 6 interface the figures compare methods through: the bare
+/// loop, no budget and no probe.
+impl PixelEvaluator for RefineEvaluator<'_> {
+    /// εKDV: an estimate `R(q)` with `(1 − ε)·F_P(q) ≤ R(q) ≤ (1 + ε)·F_P(q)`.
+    ///
+    /// # Panics
+    /// Panics if `eps` is not positive and finite, or `q` has the wrong
+    /// dimensionality.
+    fn eval_eps(&mut self, q: &[f64], eps: f64) -> f64 {
+        assert!(eps.is_finite() && eps > 0.0, "ε must be positive");
+        let (lb, ub, _) = self.refine(q, Stop::Rule(TileRule::Rel(eps)), None, &mut NoProbe);
+        // With ub ≤ (1 + ε)·lb the midpoint's relative error is ≤ ε/2,
+        // comfortably within the contract.
+        0.5 * (lb + ub)
+    }
+
+    /// τKDV: `true` iff `F_P(q) ≥ τ`.
+    ///
+    /// # Panics
+    /// Panics if `tau` is not finite, or `q` has the wrong
+    /// dimensionality.
+    fn eval_tau(&mut self, q: &[f64], tau: f64) -> bool {
+        assert!(tau.is_finite(), "τ must be finite");
+        let (lb, ub, _) = self.refine(q, Stop::Rule(TileRule::Tau(tau)), None, &mut NoProbe);
+        // Termination gives lb ≥ τ (above) or ub < τ (below); when both
+        // hold (lb = ub = τ) the ≥ branch matches exact classification.
+        debug_assert!(lb >= tau || ub <= tau);
+        lb >= tau
+    }
+}
+
 /// Exact kernel aggregation over one leaf's contiguous points; shared
 /// by the per-pixel evaluator above and the tile-batched one
 /// ([`super::tile`]). `d2` is the caller's reusable squared-distance
@@ -607,6 +446,27 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let flat: Vec<f64> = (0..n * 2).map(|_| rng.gen_range(-10.0..10.0)).collect();
         PointSet::from_rows(2, &flat)
+    }
+
+    /// One query under an unlimited budget.
+    fn eval_unlimited<P: Probe>(
+        ev: &mut RefineEvaluator<'_>,
+        q: &[f64],
+        rule: TileRule,
+        probe: &mut P,
+    ) -> BudgetedEval {
+        ev.eval(q, rule, &mut RenderBudget::unlimited(), probe)
+            .expect("valid query")
+    }
+
+    /// A probe recording the bracket after every refinement step.
+    #[derive(Default)]
+    struct BracketTrace(Vec<(f64, f64)>);
+
+    impl super::Probe for BracketTrace {
+        fn bracket(&mut self, lb: f64, ub: f64) {
+            self.0.push((lb, ub));
+        }
     }
 
     fn exact_scan(ps: &PointSet, kernel: &Kernel, q: &[f64]) -> f64 {
@@ -707,9 +567,10 @@ mod tests {
         let f = exact_scan(&ps, &kernel, &q);
 
         let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
-        let mut trace = Vec::new();
+        let mut probe = BracketTrace::default();
         // ε tiny → refine almost to exactness, producing a long trace.
-        let r = ev.eval_eps_traced(&q, 1e-9, &mut trace);
+        let r = eval_unlimited(&mut ev, &q, TileRule::Rel(1e-9), &mut probe).estimate();
+        let trace = probe.0;
 
         assert!(trace.len() >= 2, "expected multiple refinement steps");
         // Step 1 of Table 3: bounds of the root node alone.
@@ -752,14 +613,16 @@ mod tests {
     }
 
     #[test]
-    fn eval_eps_bounds_bracket_is_tight_and_correct() {
+    fn eps_bracket_is_tight_and_correct() {
         let ps = random_points(1200, 18);
         let tree = KdTree::build_default(&ps);
         let kernel = Kernel::gaussian(0.05);
         let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let q = [1.0, 1.0];
         let eps = 0.02;
-        let (lb, ub) = ev.eval_eps_bounds(&q, eps);
+        let BudgetedEval { lb, ub, exhausted } =
+            eval_unlimited(&mut ev, &q, TileRule::Rel(eps), &mut NoProbe);
+        assert!(!exhausted);
         assert!(ub <= (1.0 + eps) * lb, "bracket not ε-tight: [{lb}, {ub}]");
         let f = exact_scan(&ps, &kernel, &q);
         assert!(lb <= f * (1.0 + 1e-9) && f <= ub * (1.0 + 1e-9));
@@ -817,7 +680,7 @@ mod tests {
         for family in BoundFamily::ALL {
             let mut ev = RefineEvaluator::new(&tree, kernel, family);
             let mut probe = CountingProbe::default();
-            ev.eval_eps_with(&[0.3, -0.7], 1e-4, &mut probe);
+            eval_unlimited(&mut ev, &[0.3, -0.7], TileRule::Rel(1e-4), &mut probe);
             let stats = ev.last_stats();
             assert_eq!(probe.pops, stats.iterations, "{family:?} pops");
             assert_eq!(probe.bounds, stats.node_bounds, "{family:?} bounds");
@@ -836,17 +699,20 @@ mod tests {
         let mut probed = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut probe = CountingProbe::default();
         for q in [[0.0, 0.0], [4.0, -6.0], [12.0, 12.0]] {
+            // The bare Table 6 path and the probed, budgeted one are the
+            // same loop: bit-identical answers, identical stats.
             let a = plain.eval_eps(&q, 0.01);
-            let b = probed.eval_eps_with(&q, 0.01, &mut probe);
+            let b = eval_unlimited(&mut probed, &q, TileRule::Rel(0.01), &mut probe).estimate();
             assert_eq!(
                 a.to_bits(),
                 b.to_bits(),
                 "probe changed the result at {q:?}"
             );
             assert_eq!(plain.last_stats(), probed.last_stats());
+            let t = eval_unlimited(&mut probed, &q, TileRule::Tau(a), &mut probe);
             assert_eq!(
                 plain.eval_tau(&q, a),
-                probed.eval_tau_with(&q, a, &mut probe),
+                t.classify(a).hot,
                 "probe changed τ classification at {q:?}"
             );
         }
@@ -884,45 +750,47 @@ mod tests {
     }
 
     #[test]
-    fn try_eval_rejects_bad_input_without_panicking() {
+    fn eval_rejects_bad_input_without_panicking() {
         let ps = random_points(50, 31);
         let tree = KdTree::build_default(&ps);
         let mut ev = RefineEvaluator::new(&tree, Kernel::gaussian(1.0), BoundFamily::Quadratic);
+        let mut budget = RenderBudget::unlimited();
+        let mut eval = |q: &[f64], rule| ev.eval(q, rule, &mut budget, &mut NoProbe);
         assert!(matches!(
-            ev.try_eval_eps(&[0.0, 0.0], 0.0),
+            eval(&[0.0, 0.0], TileRule::Rel(0.0)),
             Err(KdvError::InvalidParameter { name: "eps", .. })
         ));
         assert!(matches!(
-            ev.try_eval_eps(&[0.0, 0.0], f64::NAN),
+            eval(&[0.0, 0.0], TileRule::Rel(f64::NAN)),
             Err(KdvError::InvalidParameter { name: "eps", .. })
         ));
         assert!(matches!(
-            ev.try_eval_eps(&[0.0], 0.01),
+            eval(&[0.0], TileRule::Rel(0.01)),
             Err(KdvError::DimensionMismatch {
                 got: 1,
                 expected: 2
             })
         ));
         assert!(matches!(
-            ev.try_eval_eps(&[f64::NAN, 0.0], 0.01),
+            eval(&[f64::NAN, 0.0], TileRule::Rel(0.01)),
             Err(KdvError::NonFiniteData { .. })
         ));
         assert!(matches!(
-            ev.try_eval_tau(&[0.0, 0.0], -1.0),
+            eval(&[0.0, 0.0], TileRule::Tau(-1.0)),
             Err(KdvError::InvalidParameter { name: "tau", .. })
         ));
         assert!(matches!(
-            ev.try_eval_tau(&[0.0, 0.0], f64::INFINITY),
+            eval(&[0.0, 0.0], TileRule::Tau(f64::INFINITY)),
             Err(KdvError::InvalidParameter { name: "tau", .. })
         ));
-        // Valid input still works and matches the panicking twins.
+        assert!(eval(&[0.0, 0.0], TileRule::Abs(0.0)).is_err());
+        assert!(eval(&[0.0, 0.0], TileRule::Abs(f64::NAN)).is_err());
+        // Valid input still works and matches the panicking Table 6 path.
         let q = [0.3, 0.3];
-        assert_eq!(ev.try_eval_eps(&q, 0.01).unwrap(), ev.eval_eps(&q, 0.01));
-        assert_eq!(ev.try_eval_tau(&q, 0.5).unwrap(), ev.eval_tau(&q, 0.5));
-        assert_eq!(
-            ev.try_eval_eps_bounds(&q, 0.01).unwrap(),
-            ev.eval_eps_bounds(&q, 0.01)
-        );
+        let e = eval(&q, TileRule::Rel(0.01)).unwrap();
+        let t = eval(&q, TileRule::Tau(0.5)).unwrap();
+        assert_eq!(e.estimate(), ev.eval_eps(&q, 0.01));
+        assert_eq!(t.classify(0.5).hot, ev.eval_tau(&q, 0.5));
     }
 
     #[test]
@@ -932,11 +800,24 @@ mod tests {
         let kernel = Kernel::gaussian(0.05);
         let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut budget = RenderBudget::unlimited();
+        // A cap no query reaches: charged per iteration, not per query.
+        let mut capped = RenderBudget::unlimited().with_max_work(u64::MAX);
         for q in [[0.0, 0.0], [5.0, -3.0]] {
-            let e = ev.eval_eps_budgeted(&q, 0.01, &mut budget).unwrap();
+            let e = ev
+                .eval(&q, TileRule::Rel(0.01), &mut budget, &mut NoProbe)
+                .unwrap();
             assert!(!e.exhausted);
             assert_eq!(e.estimate().to_bits(), ev.eval_eps(&q, 0.01).to_bits());
             assert!(budget.work_done() > 0, "work must be accounted");
+            let c = ev
+                .eval(&q, TileRule::Rel(0.01), &mut capped, &mut NoProbe)
+                .unwrap();
+            assert_eq!(c, e, "a limited budget must not change the answer");
+            assert_eq!(
+                capped.work_done(),
+                budget.work_done(),
+                "per-query and per-iteration charging must account the same work"
+            );
         }
     }
 
@@ -956,7 +837,9 @@ mod tests {
         for cap in [1, 10, 100, 1000] {
             let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
             let mut budget = RenderBudget::unlimited().with_max_work(cap);
-            let e = ev.eval_eps_budgeted(&q, 1e-9, &mut budget).unwrap();
+            let e = ev
+                .eval(&q, TileRule::Rel(1e-9), &mut budget, &mut NoProbe)
+                .unwrap();
             assert!(e.exhausted, "cap {cap} far below the work a 1e-9 ε needs");
             assert!(
                 e.lb <= f * (1.0 + 1e-9) && f <= e.ub * (1.0 + 1e-9),
@@ -984,8 +867,7 @@ mod tests {
         for q in [[0.0, 0.0], [5.0, -3.0], [25.0, 25.0]] {
             let f = exact_scan(&ps, &kernel, &q);
             for tol in [1e-2 * w, 1e-5 * w] {
-                let mut budget = RenderBudget::unlimited();
-                let e = ev.eval_abs_budgeted(&q, tol, &mut budget).unwrap();
+                let e = eval_unlimited(&mut ev, &q, TileRule::Abs(tol), &mut NoProbe);
                 assert!(!e.exhausted);
                 assert!(e.ub - e.lb <= 2.0 * tol + 1e-12 * (1.0 + f.abs()));
                 assert!(
@@ -995,12 +877,6 @@ mod tests {
                 );
             }
         }
-        // Structured rejection, no panic.
-        let mut budget = RenderBudget::unlimited();
-        assert!(ev.eval_abs_budgeted(&[0.0, 0.0], 0.0, &mut budget).is_err());
-        assert!(ev
-            .eval_abs_budgeted(&[0.0, 0.0], f64::NAN, &mut budget)
-            .is_err());
     }
 
     #[test]
@@ -1019,11 +895,19 @@ mod tests {
         // τ right at F forces deep refinement; a tiny budget cannot decide.
         let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut tiny = RenderBudget::unlimited().with_max_work(3);
-        let t = ev.eval_tau_budgeted(&q, f, &mut tiny).unwrap();
+        let e = ev
+            .eval(&q, TileRule::Tau(f), &mut tiny, &mut NoProbe)
+            .unwrap();
+        let t = e.classify(f);
         assert!(!t.decided, "3 work units cannot decide τ = F exactly");
+        assert_eq!(
+            t.hot,
+            e.estimate() >= f,
+            "undecided falls back to the midpoint"
+        );
         // An unlimited budget decides, and agrees with the exact answer.
-        let mut unlimited = RenderBudget::unlimited();
-        let t2 = ev.eval_tau_budgeted(&q, f * 0.5, &mut unlimited).unwrap();
+        let t2 =
+            eval_unlimited(&mut ev, &q, TileRule::Tau(f * 0.5), &mut NoProbe).classify(f * 0.5);
         assert!(t2.decided && t2.hot);
     }
 
@@ -1051,7 +935,7 @@ mod tests {
         );
         let mut ev = RefineEvaluator::new(&tree, Kernel::gaussian(0.03), BoundFamily::Quadratic);
         let mut probe = DepthRecorder::default();
-        ev.eval_eps_with(&[0.3, -0.7], 1e-4, &mut probe);
+        eval_unlimited(&mut ev, &[0.3, -0.7], TileRule::Rel(1e-4), &mut probe);
         let stats = ev.last_stats();
         assert_eq!(
             probe.depths.len(),
@@ -1104,7 +988,7 @@ mod tests {
         let mut probe = ResyncStorm::default();
         for q in [[0.0, 0.0], [4.0, -6.0], [12.0, 12.0]] {
             let a = plain.eval_eps(&q, 0.01);
-            let b = stormy.eval_eps_with(&q, 0.01, &mut probe);
+            let b = eval_unlimited(&mut stormy, &q, TileRule::Rel(0.01), &mut probe).estimate();
             // Resync timing changes *when* sums are recomputed, so the
             // two trajectories may differ by rounding noise — but only
             // at machine precision, orders below the ε = 0.01 contract.

@@ -487,7 +487,7 @@ impl TileRule {
 
     /// Whether the bracket `[lb, ub]` decides *every* query it covers.
     #[inline]
-    fn decides(&self, lb: f64, ub: f64) -> bool {
+    pub(super) fn decides(&self, lb: f64, ub: f64) -> bool {
         match *self {
             TileRule::Rel(eps) => ub <= (1.0 + eps) * lb,
             TileRule::Abs(tol) => ub - lb <= 2.0 * tol,
@@ -1333,6 +1333,7 @@ mod tests {
     use super::*;
     use crate::bandwidth::scott_gamma;
     use crate::engine::RefineEvaluator;
+    use crate::method::PixelEvaluator;
     use kdv_geom::PointSet;
     use kdv_index::{BuildConfig, KdTree};
     use rand::rngs::StdRng;

@@ -140,16 +140,6 @@ impl<T: PixelEvaluator + ?Sized> PixelEvaluator for &mut T {
     }
 }
 
-impl<'a> PixelEvaluator for RefineEvaluator<'a> {
-    fn eval_eps(&mut self, q: &[f64], eps: f64) -> f64 {
-        RefineEvaluator::eval_eps(self, q, eps)
-    }
-
-    fn eval_tau(&mut self, q: &[f64], tau: f64) -> bool {
-        RefineEvaluator::eval_tau(self, q, tau)
-    }
-}
-
 /// Parameters for methods that need more than the tree and kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MethodParams {

@@ -180,10 +180,8 @@ impl RasterSpec {
     /// size stays identical, so `sub.pixel_center(c, r)` coincides with
     /// `self.pixel_center(col0 + c, row0 + r)` (up to float rounding).
     ///
-    /// This is the one pixel→data-space mapping shared by tile
-    /// extraction (`kdv-server` slippy tiles over a virtual full-zoom
-    /// raster) and hierarchical quadrant splitting (`kdv-viz`'s tiled
-    /// τKDV renderer).
+    /// This is the pixel→data-space mapping of tile extraction
+    /// (`kdv-server` slippy tiles over a virtual full-zoom raster).
     pub fn sub_window(&self, col0: u32, row0: u32, w: u32, h: u32) -> Result<Self, KdvError> {
         if w == 0 || h == 0 {
             return Err(KdvError::DegenerateRaster {

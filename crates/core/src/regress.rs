@@ -21,7 +21,7 @@
 //! quadratic bounds transfers directly.
 
 use crate::bounds::BoundFamily;
-use crate::engine::RefineEvaluator;
+use crate::engine::{NoProbe, RefineEvaluator, RenderBudget, TileRule};
 use crate::kernel::Kernel;
 use kdv_geom::PointSet;
 use kdv_index::{BuildConfig, KdTree};
@@ -156,7 +156,8 @@ impl Predictor<'_> {
     /// kernels or extreme distances).
     ///
     /// # Panics
-    /// Panics if `eps` is not positive and finite.
+    /// Panics if `eps` is not positive and finite, or `q` is not a
+    /// finite point of the data's dimensionality.
     pub fn predict(&mut self, q: &[f64], eps: f64) -> Option<Prediction> {
         assert!(eps.is_finite() && eps > 0.0, "ε must be positive");
         // Refine all three aggregations geometrically until the ratio
@@ -165,16 +166,16 @@ impl Predictor<'_> {
         // so re-evaluation cost is bounded by the final tightness).
         let mut inner = (eps / 4.0).min(0.25);
         for _ in 0..48 {
-            let (dl, dh) = self.den.eval_eps_bounds(q, inner);
+            let (dl, dh) = eps_bracket(&mut self.den, q, inner);
             if dh <= DENSITY_FLOOR {
                 return None;
             }
             let (pl, ph) = match &mut self.pos {
-                Some(ev) => ev.eval_eps_bounds(q, inner),
+                Some(ev) => eps_bracket(ev, q, inner),
                 None => (0.0, 0.0),
             };
             let (nl, nh) = match &mut self.neg {
-                Some(ev) => ev.eval_eps_bounds(q, inner),
+                Some(ev) => eps_bracket(ev, q, inner),
                 None => (0.0, 0.0),
             };
             let num_lo = pl - nh;
@@ -223,6 +224,21 @@ impl Predictor<'_> {
         }
         unreachable!("inner ε reaches the exactness floor within 48 halvings");
     }
+}
+
+/// The εKDV bracket `(lb, ub)` of one aggregation at `q`: a certified
+/// `lb ≤ F(q) ≤ ub` with `ub ≤ (1 + ε)·lb`. The ratio needs the bracket,
+/// not a point estimate, to keep its own guarantee.
+fn eps_bracket(ev: &mut RefineEvaluator<'_>, q: &[f64], eps: f64) -> (f64, f64) {
+    let e = ev
+        .eval(
+            q,
+            TileRule::Rel(eps),
+            &mut RenderBudget::unlimited(),
+            &mut NoProbe,
+        )
+        .expect("εKDV query at a finite point");
+    (e.lb, e.ub)
 }
 
 #[cfg(test)]

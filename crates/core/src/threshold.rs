@@ -11,6 +11,7 @@
 use crate::bounds::BoundFamily;
 use crate::engine::RefineEvaluator;
 use crate::kernel::Kernel;
+use crate::method::PixelEvaluator;
 use crate::raster::RasterSpec;
 use kdv_index::KdTree;
 

@@ -16,6 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::RefineEvaluator;
 use kdv_core::kernel::{Kernel, KernelType};
+use kdv_core::method::PixelEvaluator;
 use kdv_geom::PointSet;
 use kdv_index::KdTree;
 

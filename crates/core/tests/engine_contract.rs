@@ -4,6 +4,7 @@
 use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::{RefineEvaluator, RenderBudget, TileEvaluator};
 use kdv_core::kernel::{Kernel, KernelType};
+use kdv_core::method::PixelEvaluator;
 use kdv_core::raster::RasterSpec;
 use kdv_geom::vecmath::dist2;
 use kdv_geom::PointSet;

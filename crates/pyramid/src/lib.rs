@@ -39,7 +39,7 @@
 
 use std::fmt;
 
-use kdv_core::engine::{RefineEvaluator, RenderBudget};
+use kdv_core::engine::{NoProbe, RefineEvaluator, RenderBudget, TileRule};
 use kdv_core::kernel::Kernel;
 use kdv_core::raster::RasterSpec;
 use kdv_geom::PointSet;
@@ -385,12 +385,12 @@ impl<'a> PyramidBuilder<'a> {
         let mut budget = RenderBudget::unlimited();
         let mut worst = 0.0f64;
         for q in probes {
-            let f = full
-                .eval_abs_budgeted(q, slack, &mut budget)
-                .map_err(|e| PyramidError::Engine(format!("validation probe: {e}")))?;
-            let s = level
-                .eval_abs_budgeted(q, slack, &mut budget)
-                .map_err(|e| PyramidError::Engine(format!("validation probe: {e}")))?;
+            let mut probe = |ev: &mut RefineEvaluator<'_>| {
+                ev.eval(q, TileRule::Abs(slack), &mut budget, &mut NoProbe)
+                    .map_err(|e| PyramidError::Engine(format!("validation probe: {e}")))
+            };
+            let f = probe(&mut full)?;
+            let s = probe(&mut level)?;
             worst = worst.max((s.estimate() - f.estimate()).abs());
         }
         Ok((worst + 2.0 * slack) / w)

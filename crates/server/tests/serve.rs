@@ -210,14 +210,11 @@ fn serves_the_full_pyramid_concurrently_with_cache_reuse() {
 }
 
 #[test]
-fn parent_frontiers_seed_child_tau_tiles() {
+fn cached_tau_tiles_are_stable_and_a_zoom_descent_serves_pngs() {
     let f = fixture();
     let server = TileServer::start(config(&f), &f.points, f.kernel).expect("start");
     let addr = server.local_addr();
-    // Walk the pyramid top-down along one branch; children must agree
-    // with their parent's corner pixel. z0's top-left quadrant is
-    // z1(0,0)'s whole tile — compare the shared top-left corner pixel
-    // by decoding nothing: just re-request and require determinism.
+    // A cached τ tile is served with the same bytes every time.
     let (_, _, first) = get(addr, "/tiles/tau/0/0/0.png");
     for _ in 0..2 {
         let (status, headers, body) = get(addr, "/tiles/tau/0/0/0.png");
@@ -225,7 +222,8 @@ fn parent_frontiers_seed_child_tau_tiles() {
         assert_eq!(header(&headers, "X-Kdv-Cache"), Some("hit"));
         assert_eq!(body, first, "cached tile bytes are stable");
     }
-    // Descend: parents before children, so the frontier map is warm.
+    // Descend one branch of the pyramid, z0 to z3: every level serves
+    // a valid tile-sized PNG.
     for z in 0..=3u32 {
         let (status, _, body) = get(addr, &format!("/tiles/tau/{z}/0/0.png"));
         assert_eq!(status, 200);

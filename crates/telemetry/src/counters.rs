@@ -6,8 +6,8 @@ use kdv_core::engine::{Probe, RefineStats};
 /// across any number of queries.
 ///
 /// Implements [`Probe`], so an `EventCounters` can be handed directly
-/// to `RefineEvaluator::eval_eps_with` / `eval_tau_with` (typically as
-/// `&mut metrics.events`, reused across a whole render).
+/// to `RefineEvaluator::eval` or `TileEvaluator::eval_tile_with`
+/// (typically as `&mut metrics.events`, reused across a whole render).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounters {
     /// Nodes popped from the refinement priority queue.

@@ -3,29 +3,26 @@
 //! This crate turns the per-pixel query engine of [`kdv_core`] into the
 //! artifacts the QUAD paper actually shows:
 //!
-//! * [`render`] — full-raster εKDV density grids and τKDV binary masks,
-//!   in row-major or progressive order; `*_budgeted` variants thread a
-//!   [`kdv_core::engine::RenderBudget`] through and degrade gracefully
-//!   (best-effort midpoints plus a per-pixel achieved-error map)
-//!   instead of overrunning a deadline or work cap,
+//! * [`render`](mod@render) — full-raster εKDV density grids and τKDV
+//!   masks. [`render()`] is the one renderer over the refinement engine:
+//!   any stop rule, a [`kdv_core::engine::RenderBudget`] that degrades
+//!   gracefully (best-effort midpoints plus a per-pixel achieved-error
+//!   map) instead of overrunning a deadline or work cap, row bands on
+//!   worker threads with per-band panic isolation (a crashed band is
+//!   retried sequentially and reported, never aborting the render), the
+//!   row-major or progressive order, and optional [`kdv_telemetry`]
+//!   metrics (event counters, per-pixel histograms, cost maps,
+//!   time-to-quality checkpoints). Threads are the paper's "future
+//!   work" (§8) and stay off in every paper reproduction,
 //! * [`progressive`] — the coarse-to-fine quad-tree pixel ordering of
 //!   the paper's §6 / Fig 13, generalized to arbitrary resolutions,
 //! * [`colormap`] — the continuous color ramp of Figs 1–2 and the
 //!   two-color τKDV map; [`contour`] — marching-squares iso-density
 //!   outlines (the hotspot boundaries of Fig 1),
 //! * [`image`] — dependency-free binary PPM/PGM writers,
-//! * [`parallel`] — a multi-threaded row renderer (the paper's "future
-//!   work" §8; off in every paper reproduction, which is single-core)
-//!   with per-band panic isolation: a crashed worker's band is retried
-//!   sequentially and reported, never aborting the whole render,
-//! * [`metered`] — the same renderers instrumented with
-//!   [`kdv_telemetry`]: event counters, per-pixel histograms, cost
-//!   maps, and time-to-quality checkpoints,
 //! * [`tile_render`] — the z/x/y slippy tile pyramid over a data
 //!   window (budgeted, fixed-scale colormapped tiles for
-//!   `kdv-server`); [`tiles`] — hierarchical box-bound τ
-//!   certification, whose frontier inheritance also seeds the server's
-//!   parent→child tile reuse.
+//!   `kdv-server`), and the painters for tile-batched engine output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,26 +30,16 @@
 pub mod colormap;
 pub mod contour;
 pub mod image;
-pub mod metered;
-pub mod parallel;
 pub mod png;
 pub mod progressive;
 pub mod render;
 pub mod tile_render;
-pub mod tiles;
 
 pub use colormap::ColorMap;
 pub use image::RgbImage;
-pub use metered::{
-    render_eps_budgeted_metered, render_eps_metered, render_eps_parallel_budgeted_metered,
-    render_eps_parallel_metered, render_eps_progressive_metered, render_tau_budgeted_metered,
-    render_tau_metered,
-};
-pub use parallel::{try_render_eps_parallel, ParallelOutcome};
 pub use progressive::{progressive_order, ProgressiveStep};
 pub use render::{
-    render_eps, render_eps_budgeted, render_eps_progressive, render_eps_progressive_budgeted,
-    render_tau, render_tau_budgeted, BinaryGrid, BudgetedRender, BudgetedTauRender,
+    render, render_eps, render_eps_progressive, render_tau, BandEvaluator, BinaryGrid, PixelOrder,
+    RenderOpts, Rendered,
 };
 pub use tile_render::{pyramid_raster, render_tile_eps, render_tile_tau, TileImage};
-pub use tiles::{certify_box, render_tau_tiled, BoxCertification};

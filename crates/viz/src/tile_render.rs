@@ -6,21 +6,19 @@
 //! `y = 0` at the **top** (matching both slippy-map convention and
 //! [`RasterSpec`]'s row-0-on-top orientation). [`pyramid_raster`] maps
 //! an address to the raster of exactly that window — via
-//! [`RasterSpec::sub_window`], the same pixel→data-space arithmetic
-//! the tiled τ renderer splits quadrants with. The `render_tile_*`
-//! functions produce colormapped tile images under a per-request
-//! [`RenderBudget`], degrading to certified midpoints instead of
-//! overrunning: per-pixel ([`RefineEvaluator`], the reference) or
+//! [`RasterSpec::sub_window`]. The `render_tile_*` functions produce
+//! colormapped tile images under a per-request [`RenderBudget`],
+//! degrading to certified midpoints instead of overrunning: per-pixel
+//! ([`RefineEvaluator`] through [`render`], the reference) or
 //! tile-batched ([`TileEvaluator`]). A server that drives the batched
 //! engine itself paints its output with [`paint_eps_tile`] /
 //! [`paint_tau_tile`].
 
 use crate::colormap::ColorMap;
 use crate::image::RgbImage;
-use crate::metered::{render_eps_budgeted_metered, render_tau_budgeted_metered};
-use crate::render::BinaryGrid;
+use crate::render::{render, BinaryGrid, RenderOpts, Rendered};
 use kdv_core::engine::{
-    RefineEvaluator, RefineStats, RenderBudget, TileEps, TileEvaluator, TileTau,
+    RefineEvaluator, RefineStats, RenderBudget, TileEps, TileEvaluator, TileRule, TileTau,
 };
 use kdv_core::error::KdvError;
 use kdv_core::query::{validate_eps, validate_tau};
@@ -112,10 +110,10 @@ pub fn render_tile_eps(
     scale: (f64, f64),
     metrics: &mut RenderMetrics,
 ) -> Result<TileImage, KdvError> {
-    let out = render_eps_budgeted_metered(ev, raster, eps, budget, metrics)?;
+    let out = render_one(ev, raster, TileRule::Rel(eps), budget, metrics)?;
     Ok(TileImage {
-        image: cm.render_scaled(&out.grid, scale.0, scale.1, true),
-        degraded_pixels: out.degraded_pixels,
+        image: cm.render_scaled(&out.grid(), scale.0, scale.1, true),
+        degraded_pixels: out.degraded(),
     })
 }
 
@@ -130,11 +128,30 @@ pub fn render_tile_tau(
     budget: &mut RenderBudget,
     metrics: &mut RenderMetrics,
 ) -> Result<TileImage, KdvError> {
-    let out = render_tau_budgeted_metered(ev, raster, tau, budget, metrics)?;
+    let out = render_one(ev, raster, TileRule::Tau(tau), budget, metrics)?;
     Ok(TileImage {
-        image: crate::colormap::render_binary(&out.mask),
-        degraded_pixels: out.undecided,
+        image: crate::colormap::render_binary(&out.classify(tau).0),
+        degraded_pixels: out.degraded(),
     })
+}
+
+/// One metered, single-band [`render`] with the caller's evaluator.
+fn render_one(
+    ev: &mut RefineEvaluator<'_>,
+    raster: &RasterSpec,
+    rule: TileRule,
+    budget: &mut RenderBudget,
+    metrics: &mut RenderMetrics,
+) -> Result<Rendered, KdvError> {
+    let mut ev = Some(ev);
+    let opts = RenderOpts {
+        metrics: Some(metrics),
+        ..RenderOpts::default()
+    };
+    // A single band asks for its evaluator once; only a panic retry
+    // would ask again, and there is no second one to give.
+    let make_ev = || ev.take().expect("a panicked tile has no fresh evaluator");
+    render(make_ev, raster, rule, budget, opts)
 }
 
 /// [`render_tile_eps`] on the tile-batched refinement path: one shared
@@ -431,5 +448,70 @@ mod tests {
         let tau_tile = render_tile_tau(&mut ev2, &raster, 1e-3, &mut tiny2, &mut metrics2)
             .expect("tau degrades");
         assert!(tau_tile.degraded_pixels > 0);
+    }
+
+    /// A whole raster as one τ tile, painted like `kdv hotspot`.
+    fn whole_raster_tau(
+        tree: &KdTree,
+        kernel: Kernel,
+        raster: &RasterSpec,
+        tau: f64,
+    ) -> (TileTau, RefineStats) {
+        let mut tev = TileEvaluator::new(tree, kernel, BoundFamily::Quadratic);
+        let mut budget = RenderBudget::unlimited();
+        let rule = TileRule::Tau(tau);
+        let tile = tev.eval_tile_with(
+            raster,
+            rule,
+            &[],
+            &mut budget,
+            &mut kdv_core::engine::NoProbe,
+        );
+        (tile.classify(tau), tev.shared_stats())
+    }
+
+    #[test]
+    fn whole_raster_tau_matches_per_pixel_on_degenerate_rasters() {
+        let raw = Dataset::Hep.generate(500, 3);
+        let bw = scott_gamma(&raw);
+        let mut points = raw;
+        points.scale_weights(bw.weight);
+        let kernel = Kernel::gaussian(bw.gamma);
+        let tree = KdTree::build_default(&points);
+        for (w, h) in [(1u32, 1u32), (1, 7), (9, 1), (5, 3), (1, 37), (37, 1)] {
+            let raster = RasterSpec::covering(&points, w, h, 0.02);
+            let (tile, _) = whole_raster_tau(&tree, kernel, &raster, 1e-3);
+            let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
+            let reference = crate::render::render_tau(&mut ev, &raster, 1e-3);
+            let mut metrics = RenderMetrics::new();
+            let image = paint_tau_tile(&raster, &tile, &mut metrics);
+            assert_eq!(
+                image.image,
+                crate::colormap::render_binary(&reference),
+                "{w}x{h}"
+            );
+            assert!(image.is_complete(), "{w}x{h}");
+        }
+    }
+
+    #[test]
+    fn extreme_taus_decide_at_the_root_block() {
+        let raw = Dataset::Home.generate(2000, 5);
+        let bw = scott_gamma(&raw);
+        let mut points = raw;
+        points.scale_weights(bw.weight);
+        let kernel = Kernel::gaussian(bw.gamma);
+        let tree = KdTree::build_default(&points);
+        let raster = RasterSpec::covering(&points, 32, 32, 0.02);
+        // τ far above any density: everything cold, decided by the
+        // root bracket — no pixel refines on its own.
+        let (tile, shared) = whole_raster_tau(&tree, kernel, &raster, 1e9);
+        assert!(tile.taus.iter().all(|t| t.decided && !t.hot));
+        assert!(tile.stats.iter().all(|s| s.iterations == 0));
+        assert!(shared.iterations <= 1, "{shared:?}");
+        // τ = 0 ≤ F everywhere: everything hot. (Quadratic lower bounds
+        // may dip below zero, so this one refines before it decides.)
+        let (tile, _) = whole_raster_tau(&tree, kernel, &raster, 0.0);
+        assert!(tile.taus.iter().all(|t| t.decided && t.hot));
     }
 }

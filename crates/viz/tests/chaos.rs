@@ -11,24 +11,36 @@
 
 use kdv_core::bandwidth::scott_gamma;
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::{RefineEvaluator, RenderBudget};
+use kdv_core::engine::{BudgetedEval, Probe, RefineEvaluator, RefineStats, RenderBudget, TileRule};
+use kdv_core::error::KdvError;
 use kdv_core::kernel::Kernel;
-use kdv_core::method::{ExactScan, PixelEvaluator};
+use kdv_core::method::ExactScan;
 use kdv_core::raster::RasterSpec;
 use kdv_data::Dataset;
 use kdv_geom::PointSet;
 use kdv_index::KdTree;
 use kdv_telemetry::fault::POISON_MSG;
-use kdv_telemetry::{FaultPlan, FaultProbe};
-use kdv_viz::parallel::try_render_eps_parallel;
-use kdv_viz::render::render_eps;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use kdv_telemetry::{FaultPlan, FaultProbe, RenderMetrics};
+use kdv_viz::render::{render, render_eps, BandEvaluator, RenderOpts};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 use std::time::Duration;
 
 struct Fixture {
     points: PointSet,
     kernel: Kernel,
     raster: RasterSpec,
+}
+
+/// One query under `budget` with `probe` observing.
+fn eval(
+    ev: &mut RefineEvaluator<'_>,
+    q: &[f64],
+    rule: TileRule,
+    budget: &mut RenderBudget,
+    probe: &mut FaultProbe,
+) -> BudgetedEval {
+    ev.eval(q, rule, budget, probe).expect("valid query")
 }
 
 fn fixture(n: usize, seed: u64) -> Fixture {
@@ -64,10 +76,13 @@ fn forced_resyncs_preserve_guarantees_and_determinism() {
                 ..FaultPlan::default()
             });
             let mut ev = RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic);
+            let mut budget = RenderBudget::unlimited();
             let mut out = Vec::new();
             for row in 0..fx.raster.height() {
                 for col in 0..fx.raster.width() {
-                    out.push(ev.eval_eps_with(&fx.raster.pixel_center(col, row), 0.01, &mut probe));
+                    let q = fx.raster.pixel_center(col, row);
+                    let e = eval(&mut ev, &q, TileRule::Rel(0.01), &mut budget, &mut probe);
+                    out.push(e.estimate());
                 }
             }
             (out, probe.forced_resyncs)
@@ -117,9 +132,7 @@ fn slow_nodes_degrade_deadline_renders_instead_of_hanging() {
     for row in 0..fx.raster.height() {
         for col in 0..fx.raster.width() {
             let q = fx.raster.pixel_center(col, row);
-            let e = ev
-                .eval_eps_budgeted_with(&q, 1e-12, &mut budget, &mut probe)
-                .expect("valid query");
+            let e = eval(&mut ev, &q, TileRule::Rel(1e-12), &mut budget, &mut probe);
             let f = exact.density(&q);
             let tol = 1e-9 * (1.0 + f.abs());
             assert!(
@@ -145,25 +158,109 @@ fn slow_nodes_degrade_deadline_renders_instead_of_hanging() {
     );
 }
 
-/// Wraps a real evaluator with a poisoned fault probe. The probe
-/// panics after `poison_bound_after` node-bound evaluations.
+/// Forwards every refinement event to the render's probe and to a
+/// fault probe.
+struct Tee<'a, P>(&'a mut P, &'a mut FaultProbe);
+
+impl<P: Probe> Probe for Tee<'_, P> {
+    fn heap_pop(&mut self) {
+        self.0.heap_pop();
+        self.1.heap_pop();
+    }
+    fn node_visit(&mut self, depth: u32) {
+        self.0.node_visit(depth);
+        self.1.node_visit(depth);
+    }
+    fn node_bound(&mut self) {
+        self.0.node_bound();
+        self.1.node_bound();
+    }
+    fn leaf_scan(&mut self, points: usize) {
+        self.0.leaf_scan(points);
+        self.1.leaf_scan(points);
+    }
+    fn resync(&mut self) {
+        self.0.resync();
+        self.1.resync();
+    }
+    fn force_resync(&mut self) -> bool {
+        let a = self.0.force_resync();
+        self.1.force_resync() || a
+    }
+}
+
+/// A real evaluator whose queries also run a fault probe, which panics
+/// after `poison_bound_after` node-bound evaluations. Every panic
+/// message is recorded before the panic continues, so a test can tell
+/// the injected fault from a real bug.
 struct PoisonedEvaluator<'a> {
     inner: RefineEvaluator<'a>,
     probe: FaultProbe,
+    panics: &'a Mutex<Vec<String>>,
 }
 
-impl PixelEvaluator for PoisonedEvaluator<'_> {
-    fn eval_eps(&mut self, q: &[f64], eps: f64) -> f64 {
-        self.inner.eval_eps_with(q, eps, &mut self.probe)
+impl BandEvaluator for PoisonedEvaluator<'_> {
+    fn eval<P: Probe>(
+        &mut self,
+        q: &[f64],
+        rule: TileRule,
+        budget: &mut RenderBudget,
+        probe: &mut P,
+    ) -> Result<BudgetedEval, KdvError> {
+        let (inner, fault) = (&mut self.inner, &mut self.probe);
+        catch_unwind(AssertUnwindSafe(|| {
+            inner.eval(q, rule, budget, &mut Tee(probe, fault))
+        }))
+        .unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            self.panics.lock().expect("unpoisoned").push(msg);
+            resume_unwind(payload)
+        })
     }
-    fn eval_tau(&mut self, q: &[f64], tau: f64) -> bool {
-        self.inner.eval_tau_with(q, tau, &mut self.probe)
+    fn last_stats(&self) -> RefineStats {
+        self.inner.last_stats()
     }
 }
 
-/// A poisoned bound evaluation in one worker: the parallel renderer
-/// retries the band sequentially and the output is exactly the
-/// unfaulted render.
+/// Renders `fx` at ε = 0.01 with evaluators whose `poison(i)`-th
+/// construction is poisoned.
+fn poisoned_render(
+    fx: &Fixture,
+    tree: &KdTree,
+    threads: usize,
+    metrics: Option<&mut RenderMetrics>,
+    poison: impl Fn(usize) -> Option<u64>,
+    panics: &Mutex<Vec<String>>,
+) -> Result<kdv_viz::Rendered, KdvError> {
+    let mut made = 0usize;
+    let make_ev = || {
+        made += 1;
+        PoisonedEvaluator {
+            inner: RefineEvaluator::new(tree, fx.kernel, BoundFamily::Quadratic),
+            probe: FaultProbe::new(FaultPlan {
+                seed: 3,
+                poison_bound_after: poison(made),
+                ..FaultPlan::default()
+            }),
+            panics,
+        }
+    };
+    let opts = RenderOpts {
+        threads,
+        metrics,
+        ..RenderOpts::default()
+    };
+    let mut budget = RenderBudget::unlimited();
+    render(make_ev, &fx.raster, TileRule::Rel(0.01), &mut budget, opts)
+}
+
+/// A poisoned bound evaluation in one band: `render` retries the band
+/// sequentially and the output — and, when metered, every
+/// deterministic metric — is exactly the unfaulted render's. Runs with
+/// metrics on and off, on one band and on three.
 #[test]
 fn poisoned_bound_evaluation_costs_one_band_retry() {
     let fx = fixture(2000, 31);
@@ -171,61 +268,66 @@ fn poisoned_bound_evaluation_costs_one_band_retry() {
     let mut seq_ev = RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic);
     let seq = render_eps(&mut seq_ev, &fx.raster, 0.01);
 
-    let instances = AtomicUsize::new(0);
-    let outcome = try_render_eps_parallel(
-        || {
+    for threads in [1usize, 3] {
+        let panics = Mutex::new(Vec::new());
+        let mut clean = RenderMetrics::with_cost_map(fx.raster.width(), fx.raster.height());
+        poisoned_render(&fx, &tree, threads, Some(&mut clean), |_| None, &panics)
+            .expect("clean render");
+        for metered in [false, true] {
+            let mut metrics = RenderMetrics::with_cost_map(fx.raster.width(), fx.raster.height());
             // Only the first-constructed evaluator is poisoned; the
-            // retry (and the other workers) run clean.
-            let poisoned = instances.fetch_add(1, Ordering::SeqCst) == 0;
-            PoisonedEvaluator {
-                inner: RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic),
-                probe: FaultProbe::new(FaultPlan {
-                    seed: 3,
-                    poison_bound_after: poisoned.then_some(7),
-                    ..FaultPlan::default()
-                }),
+            // retry (and the other bands) run clean.
+            let poison = |i| (i == 1).then_some(7);
+            let m = metered.then_some(&mut metrics);
+            let out = poisoned_render(&fx, &tree, threads, m, poison, &panics)
+                .expect("retry must recover the poisoned band");
+            let mode = format!("{threads} threads, metered {metered}");
+            assert_eq!(
+                out.grid(),
+                seq,
+                "{mode}: retried render must match the clean one"
+            );
+            if metered {
+                assert_eq!(metrics.band_retries, 1, "{mode}");
+                assert_eq!(metrics.events, clean.events, "{mode}");
+                assert_eq!(metrics.pixels, clean.pixels, "{mode}");
+                assert_eq!(metrics.cost_map(), clean.cost_map(), "{mode}");
             }
-        },
-        &fx.raster,
-        0.01,
-        3,
-    )
-    .expect("retry must recover the poisoned band");
-    assert_eq!(outcome.band_retries, 1, "exactly one band was poisoned");
-    assert_eq!(outcome.grid, seq, "retried render must match the clean one");
+        }
+        let panics = panics.into_inner().expect("unpoisoned");
+        assert_eq!(
+            panics.len(),
+            2,
+            "{threads} threads: one injected panic per render"
+        );
+    }
 }
 
 /// A *deterministically* poisoned evaluator (every instance fails) is
-/// reported as a structured error carrying the injected panic payload
-/// — never swallowed, never an abort.
+/// reported as a structured error, and the panic was the injected
+/// fault — never swallowed, never an abort, never a masked real bug.
 #[test]
 fn deterministic_poison_is_flagged_with_the_injected_message() {
     let fx = fixture(800, 37);
     let tree = KdTree::try_build_default(&fx.points).expect("finite input");
-    let (err, payload) = try_render_eps_parallel(
-        || PoisonedEvaluator {
-            inner: RefineEvaluator::new(&tree, fx.kernel, BoundFamily::Quadratic),
-            probe: FaultProbe::new(FaultPlan {
-                seed: 13,
-                poison_bound_after: Some(0),
-                ..FaultPlan::default()
-            }),
-        },
-        &fx.raster,
-        0.01,
-        2,
-    )
-    .expect_err("all-instances-poisoned cannot succeed");
-    assert!(matches!(err, kdv_core::KdvError::WorkerPanicked { .. }));
-    let msg = payload
-        .as_ref()
-        .and_then(|p| p.downcast_ref::<String>())
-        .cloned()
-        .expect("panic payload preserved");
-    assert!(
-        msg.starts_with(POISON_MSG),
-        "payload is the injected fault, not a masked real bug: {msg:?}"
-    );
+    for threads in [1usize, 2] {
+        for metered in [false, true] {
+            let panics = Mutex::new(Vec::new());
+            let mut metrics = RenderMetrics::new();
+            let m = metered.then_some(&mut metrics);
+            let err = poisoned_render(&fx, &tree, threads, m, |_| Some(0), &panics)
+                .expect_err("all-instances-poisoned cannot succeed");
+            assert!(matches!(err, KdvError::WorkerPanicked { .. }));
+            let panics = panics.into_inner().expect("unpoisoned");
+            assert!(!panics.is_empty());
+            for msg in panics {
+                assert!(
+                    msg.starts_with(POISON_MSG),
+                    "payload is the injected fault, not a masked real bug: {msg:?}"
+                );
+            }
+        }
+    }
 }
 
 /// The headline chaos sweep: under *every* fault plan in a seeded
@@ -268,9 +370,7 @@ fn every_injected_fault_terminates_correct_or_flagged() {
             };
             for (col, row) in [(0u32, 0u32), (7, 5), (13, 9)] {
                 let q = fx.raster.pixel_center(col, row);
-                let e = ev
-                    .eval_eps_budgeted_with(&q, eps, &mut budget, &mut probe)
-                    .expect("valid query");
+                let e = eval(&mut ev, &q, TileRule::Rel(eps), &mut budget, &mut probe);
                 let f = exact.density(&q);
                 let tol = 1e-9 * (1.0 + f.abs());
                 assert!(

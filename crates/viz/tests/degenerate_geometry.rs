@@ -9,7 +9,7 @@
 
 use kdv_core::bandwidth::try_scott_gamma;
 use kdv_core::bounds::{node_bounds, BoundFamily};
-use kdv_core::engine::RefineEvaluator;
+use kdv_core::engine::{NoProbe, RefineEvaluator, RenderBudget, TileRule};
 use kdv_core::kernel::Kernel;
 use kdv_core::method::ExactScan;
 use kdv_core::raster::RasterSpec;
@@ -141,7 +141,15 @@ fn all_duplicate_points_build_with_tiny_leaves() {
     let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
     let q = [3.25, -1.5];
     let f = ExactScan::new(&points, kernel).density(&q);
-    let v = ev.try_eval_eps(&q, 0.01).expect("valid query");
+    let v = ev
+        .eval(
+            &q,
+            TileRule::Rel(0.01),
+            &mut RenderBudget::unlimited(),
+            &mut NoProbe,
+        )
+        .expect("valid query")
+        .estimate();
     assert!((v - f).abs() <= 0.5 * 0.01 * f.abs() + 1e-12);
 }
 
@@ -227,7 +235,11 @@ fn refinement_brackets_truth_for_all_families() {
             let f = exact.density(&q);
             for family in BoundFamily::ALL {
                 let mut ev = RefineEvaluator::new(&tree, kernel, family);
-                let (lb, ub) = ev.try_eval_eps_bounds(&q, 0.05).expect("valid query");
+                let mut budget = RenderBudget::unlimited();
+                let e = ev
+                    .eval(&q, TileRule::Rel(0.05), &mut budget, &mut NoProbe)
+                    .expect("valid query");
+                let (lb, ub) = (e.lb, e.ub);
                 let tol = 1e-9 * (1.0 + f.abs());
                 assert!(
                     lb <= f + tol && f <= ub + tol,

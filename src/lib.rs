@@ -61,7 +61,7 @@ pub use kdv_viz as viz;
 pub mod prelude {
     pub use kdv_core::bandwidth::{scott_gamma, scott_gamma_for};
     pub use kdv_core::bounds::BoundFamily;
-    pub use kdv_core::engine::RefineEvaluator;
+    pub use kdv_core::engine::{RefineEvaluator, RenderBudget, TileRule};
     pub use kdv_core::kernel::{Kernel, KernelType};
     pub use kdv_core::method::{
         make_evaluator, ExactScan, MethodKind, MethodParams, PixelEvaluator, ScikitDfs, ZOrderScan,
@@ -72,6 +72,7 @@ pub mod prelude {
     pub use kdv_index::{BuildConfig, KdTree};
     pub use kdv_telemetry::{EventCounters, LogHistogram, RenderMetrics};
     pub use kdv_viz::colormap::ColorMap;
-    pub use kdv_viz::metered::{render_eps_metered, render_eps_parallel_metered};
-    pub use kdv_viz::render::{render_eps, render_eps_progressive, render_tau, BinaryGrid};
+    pub use kdv_viz::render::{
+        render, render_eps, render_eps_progressive, render_tau, BinaryGrid, PixelOrder, RenderOpts,
+    };
 }

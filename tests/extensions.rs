@@ -1,14 +1,15 @@
 //! Integration coverage of the beyond-the-paper extensions through the
-//! facade crate: kernel regression, tile-level τKDV, split rules,
+//! facade crate: kernel regression, whole-raster τKDV on the tile
+//! engine, split rules,
 //! parallel rendering, and PNG output — all composed end to end.
 
+use kdv::core::engine::{NoProbe, TileEvaluator};
 use kdv::core::regress::KernelRegression;
 use kdv::data::Dataset;
 use kdv::geom::vecmath::dist2;
 use kdv::index::SplitRule;
 use kdv::prelude::*;
 use kdv::viz::png;
-use kdv::viz::tiles::render_tau_tiled;
 
 fn crime_workload(n: usize) -> (PointSet, Kernel) {
     let raw = Dataset::Crime.generate(n, 61);
@@ -34,7 +35,19 @@ fn tiled_tau_equals_per_pixel_across_split_rules() {
         let tau = levels.tau(0.1);
         let mut ev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let reference = render_tau(&mut ev, &raster, tau);
-        let (tiled, _) = render_tau_tiled(&tree, kernel, BoundFamily::Quadratic, &raster, tau);
+        // The whole raster as one tile of the batched engine — what
+        // `kdv hotspot` runs.
+        let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
+        let mut budget = RenderBudget::unlimited();
+        let tile = tev
+            .eval_tile_with(&raster, TileRule::Tau(tau), &[], &mut budget, &mut NoProbe)
+            .classify(tau);
+        let mut tiled = BinaryGrid::falses(raster.width(), raster.height());
+        for (i, t) in tile.taus.iter().enumerate() {
+            assert!(t.decided, "an unlimited budget decides every pixel");
+            let i = i as u32;
+            tiled.set(i % raster.width(), i / raster.width(), t.hot);
+        }
         assert_eq!(tiled, reference, "split rule {split:?}");
     }
 }
@@ -99,12 +112,19 @@ fn parallel_png_pipeline() {
     let (points, kernel) = crime_workload(3000);
     let raster = RasterSpec::covering(&points, 40, 30, 0.02);
     let tree = KdTree::build_default(&points);
-    let grid = kdv::viz::parallel::render_eps_parallel(
+    let opts = RenderOpts {
+        threads: 4,
+        ..RenderOpts::default()
+    };
+    let grid = render(
         || RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic),
         &raster,
-        0.01,
-        4,
-    );
+        TileRule::Rel(0.01),
+        &mut RenderBudget::unlimited(),
+        opts,
+    )
+    .expect("valid render")
+    .grid();
     let img = ColorMap::heat().render(&grid, true);
     let bytes = png::encode(&img);
     assert!(bytes.starts_with(b"\x89PNG\r\n\x1a\n"));
