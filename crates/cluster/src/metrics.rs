@@ -1,27 +1,58 @@
 //! Aggregated observability: the router's own `/metrics` endpoint.
 //!
-//! Two formats, mirroring the shard server:
+//! Two formats, mirroring the shard server, both walks over the
+//! [`kdv_telemetry::registry`] tables listed in [`metric_tables`]:
 //!
 //! * **JSON** (default) — schema `kdv-cluster-metrics/1`: router
 //!   counters, one entry per shard (health + that shard's full
-//!   `/metrics` document, fetched live), and a `rollup` section that
-//!   sums the fleet's `http`, `cache`, and `ingest` counters so a
-//!   dashboard needs one scrape, not N.
+//!   `/metrics` document, fetched live), and a `rollup` section merging
+//!   the fleet's `http`, `cache`, and `ingest` blocks so a dashboard
+//!   needs one scrape, not N.
 //! * **Prometheus** (`?format=prometheus`) — router counters plus
-//!   per-shard up/in-flight gauges via the shared [`PromWriter`].
+//!   per-shard up/in-flight gauges labelled `shard="N"`.
 //!
-//! Rollup semantics: numeric leaves sum, nested objects recurse, and
-//! derived ratios (the cache `hit_rate`) are **recomputed** from the
-//! summed numerators — a mean of per-shard ratios would weight an
-//! idle shard the same as a busy one.
+//! The rollup merges by declared kind ([`registry::rollup`]): counters
+//! and gauges sum, the cache `hit_rate` is recomputed from the summed
+//! hits and misses (a mean of per-shard ratios would weight an idle
+//! shard the same as a busy one), and histogram summaries take summed
+//! counts, count-weighted means and the max of the quantile bounds.
 
 use std::sync::Arc;
+use std::time::Instant;
 
+use kdv_server::cache::OCCUPANCY;
 use kdv_server::http::Response;
 use kdv_telemetry::json::{self, Value};
-use kdv_telemetry::{sum_objects, PromWriter};
+use kdv_telemetry::registry::{self, CLUSTER_SCHEMA};
+use kdv_telemetry::{Declared, Family, PromWriter, Reading, Unit, CACHE, HTTP, INGEST, ROUTER};
 
+use crate::health::ShardSlot;
 use crate::proxy::{fetch, RouterInner};
+
+kdv_telemetry::metric_table! {
+    /// Top-level `uptime_ms`.
+    static UPTIME: Instant = "" {
+        "uptime_ms": Family::gauge("kdv_router_uptime_seconds", "Router uptime.").unit(Unit::Ms)
+            => |t| Reading::U(t.elapsed().as_millis() as u64),
+    }
+}
+
+kdv_telemetry::metric_table! {
+    /// Health and load of each entry in `shards`.
+    static SHARD: ShardSlot = "shards[]" {
+        "up": Family::gauge("kdv_router_shard_up", "Shard liveness (1 = up).").label("shard")
+            => |s| Reading::Flag(s.is_up()),
+        "inflight": Family::gauge("kdv_router_shard_inflight",
+            "In-flight proxied requests per shard.").label("shard")
+            => |s| Reading::U(s.inflight() as u64),
+    }
+}
+
+/// Every table of the router's own `/metrics` rows, in document order
+/// (the rollup reuses the shard tables).
+pub fn metric_tables() -> [&'static dyn Declared; 3] {
+    [&UPTIME, &ROUTER, &SHARD]
+}
 
 /// Serves `GET /metrics` (and `?format=prometheus`) on the router.
 pub(crate) fn respond(inner: &Arc<RouterInner>, query: Option<&str>) -> Response {
@@ -62,139 +93,51 @@ pub(crate) fn metrics_json(inner: &Arc<RouterInner>) -> Value {
         .iter()
         .zip(&docs)
         .map(|(slot, doc)| {
-            Value::obj(vec![
-                ("id", json::num_u(slot.index as u64)),
-                ("addr", Value::Str(slot.addr())),
-                ("up", Value::Bool(slot.is_up())),
-                ("inflight", json::num_u(slot.inflight() as u64)),
-                ("metrics", doc.clone()),
-            ])
+            let mut fields = vec![
+                ("id".to_string(), json::num_u(slot.index as u64)),
+                ("addr".to_string(), Value::Str(slot.addr())),
+            ];
+            fields.extend(SHARD.json_fields(slot));
+            fields.push(("metrics".to_string(), doc.clone()));
+            Value::Obj(fields)
         })
         .collect();
-    let rollup = rollup(&docs);
-    Value::obj(vec![
-        ("schema", Value::Str("kdv-cluster-metrics/1".to_string())),
-        (
-            "uptime_ms",
-            json::num_u(inner.started.elapsed().as_millis() as u64),
-        ),
-        ("router", inner.counters.snapshot().to_json()),
-        ("shards", Value::Arr(shards)),
-        ("rollup", rollup),
-    ])
+    let mut doc = vec![("schema".to_string(), Value::Str(CLUSTER_SCHEMA.to_string()))];
+    doc.extend(UPTIME.json_fields(&inner.started));
+    doc.push((
+        "router".to_string(),
+        ROUTER.json(&inner.counters.snapshot()),
+    ));
+    doc.push(("shards".to_string(), Value::Arr(shards)));
+    doc.push(("rollup".to_string(), rollup(&docs)));
+    Value::Obj(doc)
 }
 
-/// Sums the reachable shards' `http` / `cache` / `ingest` sections.
+/// Merges the reachable shards' `http` / `cache` / `ingest` blocks.
 fn rollup(docs: &[Value]) -> Value {
-    let section = |key: &str| -> Value {
-        let parts: Vec<&Value> = docs.iter().filter_map(|d| d.get(key)).collect();
-        let mut summed = sum_objects(&parts);
-        // hit_rate is a ratio, not a counter: replace the summed
-        // nonsense with hits / (hits + misses) over the fleet.
-        if key == "cache" {
-            if let Value::Obj(fields) = &mut summed {
-                let hits = fields
-                    .iter()
-                    .find(|(k, _)| k == "hits")
-                    .and_then(|(_, v)| v.as_f64())
-                    .unwrap_or(0.0);
-                let misses = fields
-                    .iter()
-                    .find(|(k, _)| k == "misses")
-                    .and_then(|(_, v)| v.as_f64())
-                    .unwrap_or(0.0);
-                let rate = if hits + misses > 0.0 {
-                    hits / (hits + misses)
-                } else {
-                    0.0
-                };
-                if let Some(slot) = fields.iter_mut().find(|(k, _)| k == "hit_rate") {
-                    slot.1 = json::num_f(rate);
-                }
-            }
-        }
-        summed
+    let section = |tables: &[&dyn Declared]| {
+        let parts: Vec<&Value> = docs
+            .iter()
+            .filter_map(|d| d.get(tables[0].block()))
+            .collect();
+        registry::rollup(tables, &parts)
     };
+    let reporting = docs.iter().filter(|d| !matches!(d, Value::Null)).count();
     Value::obj(vec![
-        ("shards_reporting", {
-            let n = docs.iter().filter(|d| !matches!(d, Value::Null)).count();
-            json::num_u(n as u64)
-        }),
-        ("http", section("http")),
-        ("cache", section("cache")),
-        ("ingest", section("ingest")),
+        ("shards_reporting", json::num_u(reporting as u64)),
+        ("http", section(&[&HTTP])),
+        ("cache", section(&[&CACHE, &OCCUPANCY])),
+        ("ingest", section(&[&INGEST])),
     ])
 }
 
 /// Router counters and shard gauges in text exposition 0.0.4.
 fn prometheus(inner: &Arc<RouterInner>) -> String {
-    let snap = inner.counters.snapshot();
     let mut w = PromWriter::new();
-    w.gauge(
-        "kdv_router_uptime_seconds",
-        "Router uptime.",
-        inner.started.elapsed().as_secs_f64(),
-    );
-    w.counter(
-        "kdv_router_requests_total",
-        "Client requests accepted by the router.",
-        snap.requests as f64,
-    );
-    w.counter(
-        "kdv_router_proxied_total",
-        "Upstream exchange attempts.",
-        snap.proxied as f64,
-    );
-    w.counter(
-        "kdv_router_retries_total",
-        "Stale pooled-connection retries.",
-        snap.retries as f64,
-    );
-    w.counter(
-        "kdv_router_failovers_total",
-        "Requests answered by a non-owner shard.",
-        snap.failovers as f64,
-    );
-    w.counter(
-        "kdv_router_shed_total",
-        "Requests shed with 429 (queue or in-flight cap).",
-        snap.shed as f64,
-    );
-    w.counter(
-        "kdv_router_upstream_errors_total",
-        "Failed upstream exchanges.",
-        snap.upstream_errors as f64,
-    );
-    w.counter(
-        "kdv_router_no_upstream_total",
-        "Requests that exhausted every candidate shard.",
-        snap.no_upstream as f64,
-    );
-    w.counter(
-        "kdv_router_sent_bytes_total",
-        "Response body bytes returned to clients.",
-        snap.bytes_sent as f64,
-    );
-    let up: Vec<(String, f64)> = inner
-        .shards
-        .iter()
-        .map(|s| {
-            (
-                format!("shard=\"{}\"", s.index),
-                if s.is_up() { 1.0 } else { 0.0 },
-            )
-        })
-        .collect();
-    w.gauge_family("kdv_router_shard_up", "Shard liveness (1 = up).", &up);
-    let inflight: Vec<(String, f64)> = inner
-        .shards
-        .iter()
-        .map(|s| (format!("shard=\"{}\"", s.index), s.inflight() as f64))
-        .collect();
-    w.gauge_family(
-        "kdv_router_shard_inflight",
-        "In-flight proxied requests per shard.",
-        &inflight,
-    );
+    w.add(&UPTIME, &inner.started);
+    w.add(&ROUTER, &inner.counters.snapshot());
+    for slot in &inner.shards {
+        w.add_instance(&SHARD, slot, &slot.index.to_string());
+    }
     w.finish()
 }

@@ -372,6 +372,30 @@ fn ingest_pins_to_the_owner_and_tiles_reflect_new_points() {
         .expect("points_live");
     assert_eq!(live, 420.0, "400 base + 20 appended");
 
+    // The fleet rollup merges histogram summaries by kind: counts sum
+    // and the max is the larger shard's max, never a sum of maxima.
+    let doc = metrics_doc(addr);
+    let ack = |shard: &Value| shard.get("ingest").and_then(|i| i.get("ack_ns")).cloned();
+    let shard_acks: Vec<Value> = doc
+        .get("shards")
+        .and_then(Value::as_arr)
+        .expect("shards")
+        .iter()
+        .map(|s| ack(s.get("metrics").expect("shard metrics")).expect("shard ack_ns"))
+        .collect();
+    let field = |h: &Value, k: &str| h.get(k).and_then(Value::as_f64).expect(k);
+    let rolled = ack(doc.get("rollup").expect("rollup")).expect("rollup ack_ns");
+    let larger_max = shard_acks
+        .iter()
+        .map(|h| field(h, "max"))
+        .fold(0.0, f64::max);
+    assert!(larger_max > 0.0, "the owner recorded the ack");
+    assert_eq!(field(&rolled, "max"), larger_max);
+    assert_eq!(
+        field(&rolled, "count"),
+        shard_acks.iter().map(|h| field(h, "count")).sum::<f64>()
+    );
+
     router.stop();
     for s in shards {
         s.stop();
@@ -457,6 +481,70 @@ fn trace_ids_propagate_client_to_shard_and_back() {
     let stamped = header(&headers, "x-kdv-trace-id").expect("router trace id");
     assert_eq!(stamped.len(), 16);
 
+    router.stop();
+    for s in shards {
+        s.stop();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One line per exposition family — `name TYPE {label keys} HELP` —
+/// sorted by name (the same shape as the shard golden in
+/// `kdv-server`'s `obs` tests).
+fn prom_families(text: &str) -> String {
+    let mut families: Vec<(String, String, Vec<String>, String)> = Vec::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').expect("help text");
+            families.push((name.into(), String::new(), Vec::new(), help.into()));
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (_, kind) = rest.split_once(' ').expect("type");
+            families.last_mut().expect("HELP before TYPE").1 = kind.into();
+        } else if let Some((_, labels)) = line.split_once('{') {
+            let labels = labels.split('}').next().expect("label set");
+            let family = families.last_mut().expect("samples after headers");
+            for pair in labels.split(',') {
+                let key = pair.split('=').next().expect("label key").to_string();
+                if key != "le" && !family.2.contains(&key) {
+                    family.2.push(key);
+                }
+            }
+        }
+    }
+    families.sort();
+    families
+        .iter()
+        .map(|(name, kind, labels, help)| format!("{name} {kind} {{{}}} {help}", labels.join(",")))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Every family the router exposes.
+const ROUTER_FAMILIES: &str = "\
+kdv_router_failovers_total counter {} Requests answered by a non-owner shard.
+kdv_router_no_upstream_total counter {} Requests that exhausted every candidate shard.
+kdv_router_proxied_total counter {} Upstream exchange attempts.
+kdv_router_requests_total counter {} Client requests accepted by the router.
+kdv_router_retries_total counter {} Stale pooled-connection retries.
+kdv_router_sent_bytes_total counter {} Response body bytes returned to clients.
+kdv_router_shard_inflight gauge {shard} In-flight proxied requests per shard.
+kdv_router_shard_up gauge {shard} Shard liveness (1 = up).
+kdv_router_shed_total counter {} Requests shed with 429 (queue or in-flight cap).
+kdv_router_upstream_errors_total counter {} Failed upstream exchanges.
+kdv_router_uptime_seconds gauge {} Router uptime.";
+
+#[test]
+fn router_prometheus_families_are_pinned() {
+    let dir = temp_store("prom");
+    let shards = start_shards(&dir, 2);
+    let router = start_router(&shards, 64);
+    let (status, _, body) = get(router.local_addr(), "/metrics?format=prometheus");
+    assert_eq!(status, 200);
+    let families = prom_families(std::str::from_utf8(&body).expect("utf8"));
+    assert!(
+        families == ROUTER_FAMILIES,
+        "router exposition families changed; they are now:\n{families}"
+    );
     router.stop();
     for s in shards {
         s.stop();

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use kdv_telemetry::{CacheCounters, CacheSnapshot};
+use kdv_telemetry::{CacheCounters, CacheSnapshot, Family, Reading, Unit};
 
 use crate::tile::TileAddr;
 
@@ -254,6 +254,18 @@ impl TileCache {
                 self.shard_capacity
             );
         }
+    }
+}
+
+kdv_telemetry::metric_table! {
+    /// The `cache` block's occupancy gauges, written after the counters
+    /// of [`kdv_telemetry::CACHE`].
+    pub static OCCUPANCY: TileCache = "cache" {
+        "bytes_used": Family::gauge("kdv_cache_bytes_used",
+            "Payload bytes resident in the tile cache.").unit(Unit::Bytes)
+            => |c| Reading::U(c.bytes_used() as u64),
+        "entries": Family::gauge("kdv_cache_entries", "Tiles resident in the cache.")
+            => |c| Reading::U(c.entries() as u64),
     }
 }
 

@@ -36,5 +36,5 @@ pub mod tile;
 
 pub use cache::{TileCache, TileKey};
 pub use catalog::{Catalog, DatasetEntry, DatasetSource};
-pub use server::{ServeError, ServerConfig, StartupReport, TileServer, STAGES};
+pub use server::{metric_tables, ServeError, ServerConfig, StartupReport, TileServer, STAGES};
 pub use tile::{parse_tile_path, valid_dataset_name, TileAddr, TileKind};

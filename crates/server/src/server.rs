@@ -54,15 +54,17 @@ use kdv_geom::PointSet;
 use kdv_index::KdTree;
 use kdv_store::{FsyncPolicy, WalOp};
 use kdv_telemetry::json::{self, Value};
+use kdv_telemetry::registry::SERVE_SCHEMA;
 use kdv_telemetry::{
-    DepthProfile, HttpCounters, IngestCounters, LogHistogram, PromWriter, PyramidCounters,
-    RenderMetrics, TagValue, Trace, TraceBuilder, TraceId, TraceMeta, TraceRing, TracingProbe,
-    MAX_TRACKED_LEVELS,
+    Declared, DepthProfile, Family, HttpCounters, IngestCounters, LogHistogram, PromWriter,
+    PyramidCounters, Reading, RenderMetrics, Summary, TagValue, Trace, TraceBuilder, TraceId,
+    TraceMeta, TraceRing, TracingProbe, Unit, CACHE, HTTP, INGEST, PYRAMID, RENDER, RENDER_SHAPE,
+    STORE, TRACE_RING,
 };
 use kdv_viz::tile_render::{paint_eps_tile, paint_tau_tile, pyramid_raster};
 use kdv_viz::{png, ColorMap};
 
-use crate::cache::{TileCache, TileKey};
+use crate::cache::{TileCache, TileKey, OCCUPANCY};
 use crate::catalog::{finish_entry, Catalog, DatasetEntry, DatasetSource, RenderSettings};
 use crate::http::{read_request_from, text_response, Request, RequestError, Response};
 use crate::ingest::{self, CommitError, DeltaView, IngestState};
@@ -285,6 +287,45 @@ impl StageStats {
         }
         self.total.record(trace.total_us);
     }
+}
+
+kdv_telemetry::metric_table! {
+    /// The `trace` block's latency histograms, written after the ring
+    /// counters of [`kdv_telemetry::TRACE_RING`].
+    static STAGE_LATENCY: StageStats = "trace" {
+        "stages": Family::histogram("kdv_stage_duration_seconds",
+            "Per-stage request latency, from traces.", Summary::BriefUs, Unit::Us).label("stage")
+            => |s| Reading::Hists(STAGES.iter().copied().zip(&s.stages).collect()),
+        "stages.total": Family::histogram("kdv_request_duration_seconds",
+            "End-to-end request latency (accept to response written).", Summary::BriefUs, Unit::Us)
+            => |s| Reading::Hist(&s.total),
+    }
+}
+
+kdv_telemetry::metric_table! {
+    /// Top-level `uptime_ms`.
+    static UPTIME: Instant = "" {
+        "uptime_ms": Family::gauge("kdv_uptime_seconds", "Seconds since the server started.")
+            .unit(Unit::Ms)
+            => |t| Reading::U(t.elapsed().as_millis() as u64),
+    }
+}
+
+/// Every table of a shard's `/metrics`, in document order.
+pub fn metric_tables() -> [&'static dyn Declared; 11] {
+    [
+        &UPTIME,
+        &HTTP,
+        &CACHE,
+        &OCCUPANCY,
+        &RENDER_SHAPE,
+        &RENDER,
+        &STORE,
+        &INGEST,
+        &PYRAMID,
+        &TRACE_RING,
+        &STAGE_LATENCY,
+    ]
 }
 
 /// Per-request trace state threaded through routing: the span builder
@@ -1740,388 +1781,69 @@ fn render_tile(
     Ok((bytes, tile.degraded_pixels))
 }
 
-/// The `/metrics` document: HTTP + cache counters and the merged
-/// refinement telemetry, all through the kdv-telemetry JSON writer.
+/// The `/metrics` document: every block's declared rows, plus the
+/// JSON-only startup report and catalog status.
 fn metrics_json(inner: &Inner) -> Value {
-    let cache = inner.cache.snapshot();
-    let mut cache_fields = match cache.to_json() {
-        Value::Obj(fields) => fields,
-        _ => unreachable!("cache snapshot serializes to an object"),
-    };
-    cache_fields.push((
-        "bytes_used".to_string(),
-        json::num_u(inner.cache.bytes_used() as u64),
-    ));
-    cache_fields.push((
-        "entries".to_string(),
-        json::num_u(inner.cache.entries() as u64),
-    ));
+    let mut cache = CACHE.json_fields(&inner.cache.snapshot());
+    cache.extend(OCCUPANCY.json_fields(&inner.cache));
+    let mut store = STORE.json_fields(&inner.catalog.counters().snapshot());
+    store.push(("catalog".to_string(), inner.catalog.status_json()));
     let render = inner
         .metrics
         .lock()
         .expect("metrics aggregate poisoned")
         .to_json("tiles");
-    let mut store_fields = match inner.catalog.counters().snapshot().to_json() {
-        Value::Obj(fields) => fields,
-        _ => unreachable!("store snapshot serializes to an object"),
-    };
-    store_fields.push(("catalog".to_string(), inner.catalog.status_json()));
-    Value::obj(vec![
-        ("schema", Value::Str("kdv-serve-metrics/7".to_string())),
-        (
-            "uptime_ms",
-            json::num_u(inner.started.elapsed().as_millis() as u64),
-        ),
-        ("startup", inner.startup.to_json()),
-        ("http", inner.http.snapshot().to_json()),
-        ("cache", Value::Obj(cache_fields)),
-        ("render", render),
-        ("store", Value::Obj(store_fields)),
-        ("ingest", inner.ingest_counters.snapshot().to_json()),
-        ("pyramid", inner.pyramid.snapshot().to_json()),
-        ("trace", trace_json(inner)),
-    ])
+    let mut doc = vec![("schema".to_string(), Value::Str(SERVE_SCHEMA.to_string()))];
+    doc.extend(UPTIME.json_fields(&inner.started));
+    doc.extend(
+        [
+            ("startup", inner.startup.to_json()),
+            ("http", HTTP.json(&inner.http.snapshot())),
+            ("cache", Value::Obj(cache)),
+            ("render", render),
+            ("store", Value::Obj(store)),
+            ("ingest", INGEST.json(&inner.ingest_counters.snapshot())),
+            ("pyramid", PYRAMID.json(&inner.pyramid.snapshot())),
+            ("trace", trace_json(inner)),
+        ]
+        .map(|(k, v)| (k.to_string(), v)),
+    );
+    Value::Obj(doc)
 }
 
-/// The `trace` block of the JSON `/metrics` document: ring state and
-/// per-stage latency summaries (microseconds).
+/// The `trace` block: ring counters and per-stage latency summaries
+/// (microseconds), or just `enabled: false`.
 fn trace_json(inner: &Inner) -> Value {
-    let Some(ring) = &inner.traces else {
-        return Value::obj(vec![("enabled", Value::Bool(false))]);
-    };
-    let stages = inner.stages.lock().expect("stage histograms poisoned");
-    let hist_summary = |h: &LogHistogram| {
-        Value::obj(vec![
-            ("count", json::num_u(h.count())),
-            ("mean_us", json::num_f(h.mean())),
-            ("p50_le_us", json::num_u(h.quantile_le(0.5))),
-            ("p99_le_us", json::num_u(h.quantile_le(0.99))),
-            ("max_us", json::num_u(h.max())),
-        ])
-    };
-    let mut stage_fields: Vec<(&str, Value)> = STAGES
-        .iter()
-        .zip(stages.stages.iter())
-        .map(|(name, h)| (*name, hist_summary(h)))
-        .collect();
-    stage_fields.push(("total", hist_summary(&stages.total)));
-    Value::obj(vec![
-        ("enabled", Value::Bool(true)),
-        (
-            "slow_threshold_ms",
-            json::num_u(ring.slow_threshold_us() / 1_000),
-        ),
-        ("completed", json::num_u(ring.completed())),
-        ("slow_seen", json::num_u(ring.slow_seen())),
-        ("stages", Value::obj(stage_fields)),
-    ])
+    let mut fields = vec![("enabled".to_string(), Value::Bool(inner.traces.is_some()))];
+    if let Some(ring) = &inner.traces {
+        fields.extend(TRACE_RING.json_fields(ring));
+        let stages = inner.stages.lock().expect("stage histograms poisoned");
+        fields.extend(STAGE_LATENCY.json_fields(&stages));
+    }
+    Value::Obj(fields)
 }
 
-/// `/metrics?format=prometheus`: the same counters and histograms in
-/// text exposition 0.0.4. Names carry the `kdv_` prefix and base units
-/// (`_seconds`, `_bytes`) per the Prometheus conventions; the
-/// [`PromWriter`] enforces header-before-samples and name uniqueness.
+/// `/metrics?format=prometheus`: the same rows in text exposition
+/// 0.0.4.
 fn metrics_prometheus(inner: &Inner) -> String {
     let mut w = PromWriter::new();
-    w.gauge(
-        "kdv_uptime_seconds",
-        "Seconds since the server started.",
-        inner.started.elapsed().as_secs_f64(),
-    );
-    let http = inner.http.snapshot();
-    w.counter(
-        "kdv_http_requests_total",
-        "Requests that reached routing.",
-        http.requests as f64,
-    );
-    w.counter_family(
-        "kdv_http_responses_total",
-        "Responses by outcome class.",
-        &[
-            ("class=\"ok\"".to_string(), http.ok as f64),
-            ("class=\"bad_request\"".to_string(), http.bad_request as f64),
-            ("class=\"not_found\"".to_string(), http.not_found as f64),
-            ("class=\"rejected\"".to_string(), http.rejected as f64),
-            (
-                "class=\"internal_error\"".to_string(),
-                http.internal_error as f64,
-            ),
-        ],
-    );
-    w.counter(
-        "kdv_http_degraded_responses_total",
-        "200 responses that carried the degraded marker.",
-        http.degraded as f64,
-    );
-    w.counter(
-        "kdv_http_response_bytes_total",
-        "Response body bytes written.",
-        http.bytes_sent as f64,
-    );
-    let cache = inner.cache.snapshot();
-    w.counter(
-        "kdv_cache_hits_total",
-        "Tile-cache hits.",
-        cache.hits as f64,
-    );
-    w.counter(
-        "kdv_cache_misses_total",
-        "Tile-cache misses.",
-        cache.misses as f64,
-    );
-    w.counter(
-        "kdv_cache_insertions_total",
-        "Tiles inserted into the cache.",
-        cache.insertions as f64,
-    );
-    w.counter(
-        "kdv_cache_evictions_total",
-        "Tiles evicted to make room.",
-        cache.evictions as f64,
-    );
-    w.counter(
-        "kdv_cache_evicted_bytes_total",
-        "Payload bytes evicted.",
-        cache.evicted_bytes as f64,
-    );
-    w.gauge(
-        "kdv_cache_bytes_used",
-        "Payload bytes resident in the tile cache.",
-        inner.cache.bytes_used() as f64,
-    );
-    w.gauge(
-        "kdv_cache_entries",
-        "Tiles resident in the cache.",
-        inner.cache.entries() as f64,
-    );
-    let store = inner.catalog.counters().snapshot();
-    w.counter(
-        "kdv_store_loads_total",
-        "Datasets materialized from snapshots.",
-        store.loads as f64,
-    );
-    w.counter(
-        "kdv_store_builds_total",
-        "Datasets built from raw data.",
-        store.builds as f64,
-    );
-    w.counter(
-        "kdv_store_load_failures_total",
-        "Failed dataset materializations.",
-        store.load_failures as f64,
-    );
-    w.counter(
-        "kdv_store_checksum_failures_total",
-        "Snapshot loads rejected for CRC mismatches.",
-        store.checksum_failures as f64,
-    );
-    w.counter(
-        "kdv_store_evictions_total",
-        "Datasets evicted under the byte budget.",
-        store.evictions as f64,
-    );
-    w.counter(
-        "kdv_store_evicted_bytes_total",
-        "Estimated bytes released by dataset evictions.",
-        store.evicted_bytes as f64,
-    );
-    w.histogram(
-        "kdv_store_load_seconds",
-        "Wall time per snapshot load.",
-        &store.load_ns,
-        1e-9,
-    );
-    w.histogram(
-        "kdv_store_build_seconds",
-        "Wall time per from-source dataset build.",
-        &store.build_ns,
-        1e-9,
-    );
-    let ingest = inner.ingest_counters.snapshot();
-    w.counter_family(
-        "kdv_ingest_records_total",
-        "Durable WAL records written, by operation.",
-        &[
-            ("op=\"append\"".to_string(), ingest.appends as f64),
-            ("op=\"tombstone\"".to_string(), ingest.tombstones as f64),
-        ],
-    );
-    w.counter_family(
-        "kdv_ingest_points_total",
-        "Points carried by durable WAL records, by operation.",
-        &[
-            ("op=\"append\"".to_string(), ingest.append_points as f64),
-            (
-                "op=\"tombstone\"".to_string(),
-                ingest.tombstone_points as f64,
-            ),
-        ],
-    );
-    w.counter(
-        "kdv_ingest_acks_total",
-        "Writes acknowledged after reaching the durability point.",
-        ingest.acks as f64,
-    );
-    w.counter_family(
-        "kdv_ingest_rejections_total",
-        "Ingest requests refused before any WAL write.",
-        &[
-            (
-                "reason=\"too_large\"".to_string(),
-                ingest.rejected_too_large as f64,
-            ),
-            (
-                "reason=\"backpressure\"".to_string(),
-                ingest.rejected_backpressure as f64,
-            ),
-        ],
-    );
-    w.counter(
-        "kdv_ingest_wal_bytes_total",
-        "WAL record bytes appended.",
-        ingest.wal_bytes as f64,
-    );
-    w.counter(
-        "kdv_ingest_fsyncs_total",
-        "WAL fsync calls issued.",
-        ingest.fsyncs as f64,
-    );
-    w.counter(
-        "kdv_ingest_compactions_total",
-        "Memtable-to-snapshot compactions completed.",
-        ingest.compactions as f64,
-    );
-    w.counter(
-        "kdv_ingest_compaction_failures_total",
-        "Compactions that failed and left the WAL intact.",
-        ingest.compaction_failures as f64,
-    );
-    w.counter(
-        "kdv_ingest_replays_total",
-        "Boot-time WAL replays.",
-        ingest.replays as f64,
-    );
-    w.counter(
-        "kdv_ingest_replayed_records_total",
-        "Records recovered by WAL replays.",
-        ingest.replayed_records as f64,
-    );
-    w.counter(
-        "kdv_ingest_torn_tails_total",
-        "Replays that truncated a torn WAL tail.",
-        ingest.torn_tails as f64,
-    );
-    w.counter(
-        "kdv_ingest_invalidated_tiles_total",
-        "Cached tiles dropped because a write could alter them.",
-        ingest.invalidated_tiles as f64,
-    );
-    let pyr = inner.pyramid.snapshot();
-    let mut pyr_family: Vec<(String, f64)> = (0..MAX_TRACKED_LEVELS)
-        .map(|l| (format!("level=\"{l}\""), pyr.level_renders[l] as f64))
-        .collect();
-    pyr_family.push(("level=\"full\"".to_string(), pyr.full_renders as f64));
-    w.counter_family(
-        "kdv_pyramid_renders_total",
-        "Tile renders by the coreset level that served them.",
-        &pyr_family,
-    );
-    w.histogram(
-        "kdv_ingest_ack_seconds",
-        "Wall time from WAL append to durable ack.",
-        &ingest.ack_ns,
-        1e-9,
-    );
-    w.histogram(
-        "kdv_ingest_compaction_seconds",
-        "Wall time per compaction.",
-        &ingest.compact_ns,
-        1e-9,
-    );
+    w.add(&UPTIME, &inner.started);
+    w.add(&HTTP, &inner.http.snapshot());
+    w.add(&CACHE, &inner.cache.snapshot());
+    w.add(&OCCUPANCY, &inner.cache);
+    w.add(&STORE, &inner.catalog.counters().snapshot());
+    w.add(&INGEST, &inner.ingest_counters.snapshot());
+    w.add(&PYRAMID, &inner.pyramid.snapshot());
     {
         let render = inner.metrics.lock().expect("metrics aggregate poisoned");
-        w.counter(
-            "kdv_render_pixels_total",
-            "Tile pixels rendered.",
-            render.pixels as f64,
-        );
-        w.counter(
-            "kdv_render_heap_pops_total",
-            "Refinement heap pops across all tiles.",
-            render.events.heap_pops as f64,
-        );
-        w.counter(
-            "kdv_render_node_bounds_total",
-            "Quadratic bound evaluations.",
-            render.events.node_bounds as f64,
-        );
-        w.counter(
-            "kdv_render_point_evals_total",
-            "Exact kernel evaluations at leaves.",
-            render.events.point_evals as f64,
-        );
-        w.counter(
-            "kdv_render_resyncs_total",
-            "Kahan-resync passes over the refinement heap.",
-            render.events.resyncs as f64,
-        );
-        w.counter(
-            "kdv_render_degraded_pixels_total",
-            "Pixels cut short by a render budget.",
-            render.degraded_pixels as f64,
-        );
-        w.counter(
-            "kdv_render_frontier_reuse_total",
-            "Node-bound evaluations avoided via shared tile frontiers.",
-            render.frontier_reuse as f64,
-        );
-        w.gauge(
-            "kdv_render_simd_lanes",
-            "f64 lanes per distance evaluation (4 on the AVX2 path, 1 scalar).",
-            render.simd_lanes as f64,
-        );
-        w.histogram(
-            "kdv_render_pixel_seconds",
-            "Per-pixel refinement latency.",
-            &render.latency_ns,
-            1e-9,
-        );
-        w.histogram(
-            "kdv_render_iterations",
-            "Refinement iterations per pixel.",
-            &render.iterations,
-            1.0,
-        );
+        w.add(&RENDER_SHAPE, &render);
+        w.add(&RENDER, &render);
     }
     if let Some(ring) = &inner.traces {
-        w.counter(
-            "kdv_traces_total",
-            "Requests traced end to end.",
-            ring.completed() as f64,
-        );
-        w.counter(
-            "kdv_slow_traces_total",
-            "Traces at or over the slow threshold.",
-            ring.slow_seen() as f64,
-        );
-        let stages = inner.stages.lock().expect("stage histograms poisoned");
-        let labels: Vec<String> = STAGES.iter().map(|s| format!("stage=\"{s}\"")).collect();
-        let series: Vec<(&str, &LogHistogram)> = labels
-            .iter()
-            .map(String::as_str)
-            .zip(stages.stages.iter())
-            .collect();
-        w.histogram_family(
-            "kdv_stage_duration_seconds",
-            "Per-stage request latency, from traces.",
-            &series,
-            1e-6,
-        );
-        w.histogram(
-            "kdv_request_duration_seconds",
-            "End-to-end request latency (accept to response written).",
-            &stages.total,
-            1e-6,
+        w.add(&TRACE_RING, ring);
+        w.add(
+            &STAGE_LATENCY,
+            &inner.stages.lock().expect("stage histograms poisoned"),
         );
     }
     w.finish()

@@ -337,8 +337,214 @@ fn access_log_writes_one_json_line_per_request() {
     std::fs::remove_file(&log_path).ok();
 }
 
-/// Golden schema test: the exact key set of the JSON `/metrics`
-/// document. Adding a key is a conscious schema bump; losing one is a
+/// Every object key path in `v` (dotted, depth-first, document order);
+/// arrays are leaves.
+fn key_tree(v: &Value) -> Vec<String> {
+    fn walk(v: &Value, prefix: &str, out: &mut Vec<String>) {
+        if let Value::Obj(fields) = v {
+            for (k, child) in fields {
+                let path = if prefix.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{prefix}.{k}")
+                };
+                out.push(path.clone());
+                walk(child, &path, out);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(v, "", &mut out);
+    out
+}
+
+/// The `/metrics` key tree for a traced single-dataset server after
+/// one cold tile, one key path per line.
+const METRICS_KEY_TREE: &str = "\
+schema
+uptime_ms
+startup
+startup.total_ms
+startup.data_load_ms
+startup.index_ms
+startup.warm_ms
+startup.source
+http
+http.requests
+http.ok
+http.degraded
+http.bad_request
+http.not_found
+http.rejected
+http.internal_error
+http.bytes_sent
+cache
+cache.hits
+cache.misses
+cache.hit_rate
+cache.insertions
+cache.evictions
+cache.evicted_bytes
+cache.bytes_used
+cache.entries
+render
+render.schema
+render.query
+render.pixels
+render.wall_ms
+render.threads
+render.status
+render.degraded_pixels
+render.band_retries
+render.counters
+render.counters.heap_pops
+render.counters.node_bounds
+render.counters.leaf_scans
+render.counters.point_evals
+render.counters.resyncs
+render.counters.total_work
+render.counters.frontier_reuse
+render.counters.simd_lanes
+render.iterations
+render.iterations.count
+render.iterations.sum
+render.iterations.max
+render.iterations.mean
+render.iterations.p50_le
+render.iterations.p99_le
+render.iterations.buckets
+render.latency_ns
+render.latency_ns.count
+render.latency_ns.sum
+render.latency_ns.max
+render.latency_ns.mean
+render.latency_ns.p50_le
+render.latency_ns.p99_le
+render.latency_ns.buckets
+render.checkpoints
+render.cost_map
+store
+store.loads
+store.builds
+store.load_failures
+store.checksum_failures
+store.evictions
+store.evicted_bytes
+store.load_ns
+store.load_ns.count
+store.load_ns.mean
+store.load_ns.p50_le
+store.load_ns.p99_le
+store.load_ns.max
+store.build_ns
+store.build_ns.count
+store.build_ns.mean
+store.build_ns.p50_le
+store.build_ns.p99_le
+store.build_ns.max
+store.catalog
+ingest
+ingest.appends
+ingest.append_points
+ingest.tombstones
+ingest.tombstone_points
+ingest.acks
+ingest.rejected_too_large
+ingest.rejected_backpressure
+ingest.wal_bytes
+ingest.fsyncs
+ingest.compactions
+ingest.compaction_failures
+ingest.replays
+ingest.replayed_records
+ingest.torn_tails
+ingest.invalidated_tiles
+ingest.ack_ns
+ingest.ack_ns.count
+ingest.ack_ns.mean
+ingest.ack_ns.p50_le
+ingest.ack_ns.p99_le
+ingest.ack_ns.max
+ingest.compact_ns
+ingest.compact_ns.count
+ingest.compact_ns.mean
+ingest.compact_ns.p50_le
+ingest.compact_ns.p99_le
+ingest.compact_ns.max
+ingest.replay_ns
+ingest.replay_ns.count
+ingest.replay_ns.mean
+ingest.replay_ns.p50_le
+ingest.replay_ns.p99_le
+ingest.replay_ns.max
+pyramid
+pyramid.level_renders
+pyramid.pyramid_renders
+pyramid.full_renders
+trace
+trace.enabled
+trace.slow_threshold_ms
+trace.completed
+trace.slow_seen
+trace.stages
+trace.stages.queue
+trace.stages.queue.count
+trace.stages.queue.mean_us
+trace.stages.queue.p50_le_us
+trace.stages.queue.p99_le_us
+trace.stages.queue.max_us
+trace.stages.parse
+trace.stages.parse.count
+trace.stages.parse.mean_us
+trace.stages.parse.p50_le_us
+trace.stages.parse.p99_le_us
+trace.stages.parse.max_us
+trace.stages.cache
+trace.stages.cache.count
+trace.stages.cache.mean_us
+trace.stages.cache.p50_le_us
+trace.stages.cache.p99_le_us
+trace.stages.cache.max_us
+trace.stages.catalog
+trace.stages.catalog.count
+trace.stages.catalog.mean_us
+trace.stages.catalog.p50_le_us
+trace.stages.catalog.p99_le_us
+trace.stages.catalog.max_us
+trace.stages.ingest
+trace.stages.ingest.count
+trace.stages.ingest.mean_us
+trace.stages.ingest.p50_le_us
+trace.stages.ingest.p99_le_us
+trace.stages.ingest.max_us
+trace.stages.render
+trace.stages.render.count
+trace.stages.render.mean_us
+trace.stages.render.p50_le_us
+trace.stages.render.p99_le_us
+trace.stages.render.max_us
+trace.stages.encode
+trace.stages.encode.count
+trace.stages.encode.mean_us
+trace.stages.encode.p50_le_us
+trace.stages.encode.p99_le_us
+trace.stages.encode.max_us
+trace.stages.write
+trace.stages.write.count
+trace.stages.write.mean_us
+trace.stages.write.p50_le_us
+trace.stages.write.p99_le_us
+trace.stages.write.max_us
+trace.stages.total
+trace.stages.total.count
+trace.stages.total.mean_us
+trace.stages.total.p50_le_us
+trace.stages.total.p99_le_us
+trace.stages.total.max_us";
+
+/// Golden schema test: the exact key tree of the JSON `/metrics`
+/// document, nested blocks and histogram summaries included. Adding a
+/// key is a conscious schema bump; losing or reordering one is a
 /// regression dashboards would discover the hard way.
 #[test]
 fn metrics_json_key_set_is_pinned() {
@@ -349,76 +555,29 @@ fn metrics_json_key_set_is_pinned() {
     let (status, _, body) = get(addr, "/metrics");
     assert_eq!(status, 200);
     let doc = json_body(&body);
-
-    let keys = |v: &Value| -> Vec<String> {
-        match v {
-            Value::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect(),
-            other => panic!("expected object, got {other:?}"),
-        }
-    };
-    assert_eq!(
-        keys(&doc),
-        [
-            "schema",
-            "uptime_ms",
-            "startup",
-            "http",
-            "cache",
-            "render",
-            "store",
-            "ingest",
-            "pyramid",
-            "trace"
-        ]
-    );
     assert_eq!(
         doc.get("schema").and_then(Value::as_str),
         Some("kdv-serve-metrics/7")
     );
-    assert_eq!(
-        keys(doc.get("http").expect("http")),
-        [
-            "requests",
-            "ok",
-            "degraded",
-            "bad_request",
-            "not_found",
-            "rejected",
-            "internal_error",
-            "bytes_sent"
-        ]
+    let tree = key_tree(&doc).join("\n");
+    assert!(
+        tree == METRICS_KEY_TREE,
+        "/metrics key tree changed; the whole tree is now:\n{tree}"
     );
-    assert_eq!(
-        keys(doc.get("cache").expect("cache")),
-        [
-            "hits",
-            "misses",
-            "hit_rate",
-            "insertions",
-            "evictions",
-            "evicted_bytes",
-            "bytes_used",
-            "entries"
-        ]
-    );
-    assert_eq!(
-        keys(doc.get("pyramid").expect("pyramid")),
-        ["level_renders", "pyramid_renders", "full_renders"]
-    );
-    let trace = doc.get("trace").expect("trace");
-    assert_eq!(
-        keys(trace),
-        [
-            "enabled",
-            "slow_threshold_ms",
-            "completed",
-            "slow_seen",
-            "stages"
-        ]
-    );
+    // The stage summaries follow the server's stage list.
+    let stages = doc
+        .get("trace")
+        .and_then(|t| t.get("stages"))
+        .expect("stages");
     let mut expected_stages: Vec<String> = STAGES.iter().map(|s| s.to_string()).collect();
     expected_stages.push("total".to_string());
-    assert_eq!(keys(trace.get("stages").expect("stages")), expected_stages);
+    match stages {
+        Value::Obj(fields) => assert_eq!(
+            fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            expected_stages
+        ),
+        other => panic!("expected object, got {other:?}"),
+    }
     server.stop();
 }
 
@@ -543,6 +702,107 @@ fn prometheus_exposition_is_lint_clean_and_unit_scaled() {
         "JSON ({requests}) behind text ({sample})"
     );
 
+    server.stop();
+}
+
+/// One line per exposition family — `name TYPE {label keys} HELP` —
+/// sorted by name, so the golden pins every series' identity but not
+/// the order families are written in.
+fn prom_families(text: &str) -> String {
+    let mut families: Vec<(String, String, Vec<String>, String)> = Vec::new();
+    for line in text.lines() {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').expect("help text");
+            families.push((name.into(), String::new(), Vec::new(), help.into()));
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (_, kind) = rest.split_once(' ').expect("type");
+            families.last_mut().expect("HELP before TYPE").1 = kind.into();
+        } else if let Some((_, labels)) = line.split_once('{') {
+            let labels = labels.split('}').next().expect("label set");
+            let family = families.last_mut().expect("samples after headers");
+            for pair in labels.split(',') {
+                let key = pair.split('=').next().expect("label key").to_string();
+                if key != "le" && !family.2.contains(&key) {
+                    family.2.push(key);
+                }
+            }
+        }
+    }
+    families.sort();
+    families
+        .iter()
+        .map(|(name, kind, labels, help)| format!("{name} {kind} {{{}}} {help}", labels.join(",")))
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Every family a traced shard exposes after one cold tile.
+const SHARD_FAMILIES: &str = "\
+kdv_cache_bytes_used gauge {} Payload bytes resident in the tile cache.
+kdv_cache_entries gauge {} Tiles resident in the cache.
+kdv_cache_evicted_bytes_total counter {} Payload bytes evicted.
+kdv_cache_evictions_total counter {} Tiles evicted to make room.
+kdv_cache_hits_total counter {} Tile-cache hits.
+kdv_cache_insertions_total counter {} Tiles inserted into the cache.
+kdv_cache_misses_total counter {} Tile-cache misses.
+kdv_http_degraded_responses_total counter {} 200 responses that carried the degraded marker.
+kdv_http_requests_total counter {} Requests that reached routing.
+kdv_http_response_bytes_total counter {} Response body bytes written.
+kdv_http_responses_total counter {class} Responses by outcome class.
+kdv_ingest_ack_seconds histogram {} Wall time from WAL append to durable ack.
+kdv_ingest_acks_total counter {} Writes acknowledged after reaching the durability point.
+kdv_ingest_compaction_failures_total counter {} Compactions that failed and left the WAL intact.
+kdv_ingest_compaction_seconds histogram {} Wall time per compaction.
+kdv_ingest_compactions_total counter {} Memtable-to-snapshot compactions completed.
+kdv_ingest_fsyncs_total counter {} WAL fsync calls issued.
+kdv_ingest_invalidated_tiles_total counter {} Cached tiles dropped because a write could alter them.
+kdv_ingest_points_total counter {op} Points carried by durable WAL records, by operation.
+kdv_ingest_records_total counter {op} Durable WAL records written, by operation.
+kdv_ingest_rejections_total counter {reason} Ingest requests refused before any WAL write.
+kdv_ingest_replay_seconds histogram {} Wall time per boot-time WAL replay.
+kdv_ingest_replayed_records_total counter {} Records recovered by WAL replays.
+kdv_ingest_replays_total counter {} Boot-time WAL replays.
+kdv_ingest_torn_tails_total counter {} Replays that truncated a torn WAL tail.
+kdv_ingest_wal_bytes_total counter {} WAL record bytes appended.
+kdv_pyramid_renders_total counter {level} Tile renders by the coreset level that served them.
+kdv_render_band_retries_total counter {} Parallel bands retried sequentially after a worker panic.
+kdv_render_degraded_pixels_total counter {} Pixels cut short by a render budget.
+kdv_render_frontier_reuse_total counter {} Node-bound evaluations avoided via shared tile frontiers.
+kdv_render_heap_pops_total counter {} Refinement heap pops across all tiles.
+kdv_render_iterations histogram {} Refinement iterations per pixel.
+kdv_render_leaf_scans_total counter {} Leaves refined to their exact sums.
+kdv_render_node_bounds_total counter {} Quadratic bound evaluations.
+kdv_render_pixel_seconds histogram {} Per-pixel refinement latency.
+kdv_render_pixels_total counter {} Tile pixels rendered.
+kdv_render_point_evals_total counter {} Exact kernel evaluations at leaves.
+kdv_render_resyncs_total counter {} Kahan-resync passes over the refinement heap.
+kdv_render_simd_lanes gauge {} f64 lanes per distance evaluation (4 on the AVX2 path, 1 scalar).
+kdv_request_duration_seconds histogram {} End-to-end request latency (accept to response written).
+kdv_slow_traces_total counter {} Traces at or over the slow threshold.
+kdv_stage_duration_seconds histogram {stage} Per-stage request latency, from traces.
+kdv_store_build_seconds histogram {} Wall time per from-source dataset build.
+kdv_store_builds_total counter {} Datasets built from raw data.
+kdv_store_checksum_failures_total counter {} Snapshot loads rejected for CRC mismatches.
+kdv_store_evicted_bytes_total counter {} Estimated bytes released by dataset evictions.
+kdv_store_evictions_total counter {} Datasets evicted under the byte budget.
+kdv_store_load_failures_total counter {} Failed dataset materializations.
+kdv_store_load_seconds histogram {} Wall time per snapshot load.
+kdv_store_loads_total counter {} Datasets materialized from snapshots.
+kdv_traces_total counter {} Requests traced end to end.
+kdv_uptime_seconds gauge {} Seconds since the server started.";
+
+#[test]
+fn prometheus_families_are_pinned() {
+    let (points, kernel) = fixture();
+    let server = TileServer::start(config(), &points, kernel).expect("start");
+    let addr = server.local_addr();
+    let (_, _, _) = get(addr, "/tiles/eps/0/0/0.png");
+    let (_, _, body) = get(addr, "/metrics?format=prometheus");
+    let families = prom_families(std::str::from_utf8(&body).expect("utf8"));
+    assert!(
+        families == SHARD_FAMILIES,
+        "exposition families changed; they are now:\n{families}"
+    );
     server.stop();
 }
 

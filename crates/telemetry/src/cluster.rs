@@ -1,60 +1,45 @@
-//! Cluster-tier telemetry: router traffic counters and cross-shard
-//! metric rollups.
+//! Cluster-tier telemetry: the router's own traffic counters.
 //!
 //! The cluster router fronts N shard processes, each already exporting
-//! a `kdv-serve-metrics` JSON document. Aggregated observability needs
-//! two things this module provides:
-//!
-//! * [`RouterCounters`] — the router's own lock-free traffic counters
-//!   (admission sheds, failovers, upstream errors), the same
-//!   `AtomicU64`-bundle shape as [`crate::serve::HttpCounters`] so the
-//!   scrape path never takes a lock.
-//! * [`sum_objects`] — a structural rollup over parsed shard metric
-//!   documents: numeric leaves sum, nested objects merge recursively,
-//!   and everything else (strings, bools, arrays) keeps the first
-//!   shard's value. Derived ratios (a `hit_rate` amid its counters) do
-//!   **not** sum meaningfully — callers recompute those from the
-//!   summed counters after merging.
+//! a `kdv-serve-metrics` JSON document; the fleet view merges those
+//! with [`crate::registry::rollup`]. [`RouterCounters`] adds what only
+//! the router sees — admission sheds, failovers, upstream errors — in
+//! the same `AtomicU64`-bundle shape as [`crate::serve::HttpCounters`]
+//! so the scrape path never takes a lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json::{self, Value};
+use crate::registry::{counter_block, Family, Unit};
 
-/// Lock-free router traffic counters, bumped by every proxy worker.
-#[derive(Debug, Default)]
-pub struct RouterCounters {
-    requests: AtomicU64,
-    proxied: AtomicU64,
-    retries: AtomicU64,
-    failovers: AtomicU64,
-    shed: AtomicU64,
-    upstream_errors: AtomicU64,
-    no_upstream: AtomicU64,
-    bytes_sent: AtomicU64,
-}
-
-/// One reading of [`RouterCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterSnapshot {
-    /// Client requests that reached routing (parsed request line).
-    pub requests: u64,
-    /// Upstream shard requests attempted (includes retries and
-    /// failover attempts, so this can exceed `requests`).
-    pub proxied: u64,
-    /// Same-shard retries after a stale pooled connection died under
-    /// a request (not failovers — the shard itself was fine).
-    pub retries: u64,
-    /// Requests answered by the fallback shard after the owner failed
-    /// (the responses carrying `X-Kdv-Failover`).
-    pub failovers: u64,
-    /// `429` admission sheds (per-shard in-flight cap reached).
-    pub shed: u64,
-    /// Upstream attempts that failed (connect, write, read, or parse).
-    pub upstream_errors: u64,
-    /// Requests no shard could answer (`502`/`503` to the client).
-    pub no_upstream: u64,
-    /// Response payload bytes written to clients (bodies only).
-    pub bytes_sent: u64,
+counter_block! {
+    /// Lock-free router traffic counters, bumped by every proxy worker.
+    pub struct RouterCounters;
+    /// One reading of [`RouterCounters`]; fields are the rows of
+    /// [`ROUTER`].
+    pub struct RouterSnapshot;
+    /// The `router` block. `proxied` counts every upstream attempt,
+    /// retries and failovers included, so it can exceed `requests`;
+    /// `retries` are same-shard retries after a stale pooled connection
+    /// died under a request, while `failovers` are requests the fallback
+    /// shard answered after the owner failed (`X-Kdv-Failover`).
+    pub static ROUTER = "router" {
+        requests: AtomicU64 = Family::counter("kdv_router_requests_total",
+            "Client requests accepted by the router."),
+        proxied: AtomicU64 =
+            Family::counter("kdv_router_proxied_total", "Upstream exchange attempts."),
+        retries: AtomicU64 =
+            Family::counter("kdv_router_retries_total", "Stale pooled-connection retries."),
+        failovers: AtomicU64 = Family::counter("kdv_router_failovers_total",
+            "Requests answered by a non-owner shard."),
+        shed: AtomicU64 = Family::counter("kdv_router_shed_total",
+            "Requests shed with 429 (queue or in-flight cap)."),
+        upstream_errors: AtomicU64 =
+            Family::counter("kdv_router_upstream_errors_total", "Failed upstream exchanges."),
+        no_upstream: AtomicU64 = Family::counter("kdv_router_no_upstream_total",
+            "Requests that exhausted every candidate shard."),
+        bytes_sent: AtomicU64 = Family::counter("kdv_router_sent_bytes_total",
+            "Response body bytes returned to clients.").unit(Unit::Bytes),
+    }
 }
 
 impl RouterCounters {
@@ -97,76 +82,12 @@ impl RouterCounters {
     pub fn sent(&self, bytes: u64) {
         self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
     }
-
-    /// Reads every counter.
-    pub fn snapshot(&self) -> RouterSnapshot {
-        RouterSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            proxied: self.proxied.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            upstream_errors: self.upstream_errors.load(Ordering::Relaxed),
-            no_upstream: self.no_upstream.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl RouterSnapshot {
-    /// JSON object with every counter.
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("requests", json::num_u(self.requests)),
-            ("proxied", json::num_u(self.proxied)),
-            ("retries", json::num_u(self.retries)),
-            ("failovers", json::num_u(self.failovers)),
-            ("shed", json::num_u(self.shed)),
-            ("upstream_errors", json::num_u(self.upstream_errors)),
-            ("no_upstream", json::num_u(self.no_upstream)),
-            ("bytes_sent", json::num_u(self.bytes_sent)),
-        ])
-    }
-}
-
-/// Structurally sums a set of parsed JSON documents.
-///
-/// Keys appear in the order they are first seen across the inputs.
-/// For each key: numeric values sum (a document missing the key
-/// contributes zero), objects merge recursively, and any other type
-/// keeps the first document's value. This is exactly what a fleet
-/// rollup of monotone counter blocks wants; derived ratios embedded in
-/// a block (e.g. a cache `hit_rate`) come out as meaningless sums, so
-/// callers recompute those from the merged counters.
-pub fn sum_objects(docs: &[&Value]) -> Value {
-    let mut keys: Vec<&str> = Vec::new();
-    for doc in docs {
-        if let Value::Obj(fields) = doc {
-            for (k, _) in fields {
-                if !keys.iter().any(|seen| seen == k) {
-                    keys.push(k);
-                }
-            }
-        }
-    }
-    let mut out = Vec::with_capacity(keys.len());
-    for key in keys {
-        let present: Vec<&Value> = docs.iter().filter_map(|d| d.get(key)).collect();
-        let merged = if present.iter().all(|v| matches!(v, Value::Num(_))) {
-            Value::Num(present.iter().filter_map(|v| v.as_f64()).sum())
-        } else if present.iter().all(|v| matches!(v, Value::Obj(_))) {
-            sum_objects(&present)
-        } else {
-            (*present[0]).clone()
-        };
-        out.push((key.to_string(), merged));
-    }
-    Value::Obj(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{self, Value};
     use std::sync::Arc;
 
     #[test]
@@ -193,7 +114,7 @@ mod tests {
         assert_eq!(s.no_upstream, 1);
         assert_eq!(s.bytes_sent, 512);
 
-        let doc = s.to_json();
+        let doc = ROUTER.json(&s);
         let back = json::parse(&doc.render()).expect("parses");
         assert_eq!(back.get("proxied").and_then(Value::as_f64), Some(3.0));
         assert_eq!(back.get("failovers").and_then(Value::as_f64), Some(1.0));
@@ -220,37 +141,5 @@ mod tests {
         assert_eq!(s.requests, 40_000);
         assert_eq!(s.proxied, 40_000);
         assert_eq!(s.bytes_sent, 80_000);
-    }
-
-    #[test]
-    fn sum_objects_sums_numbers_and_recurses() {
-        let a =
-            json::parse(r#"{"http":{"ok":2,"bytes":10},"name":"shard-0","up":true}"#).expect("a");
-        let b = json::parse(r#"{"http":{"ok":3,"bytes":5,"bad":1},"name":"shard-1"}"#).expect("b");
-        let merged = sum_objects(&[&a, &b]);
-        let http = merged.get("http").expect("http");
-        assert_eq!(http.get("ok").and_then(Value::as_f64), Some(5.0));
-        assert_eq!(http.get("bytes").and_then(Value::as_f64), Some(15.0));
-        // Key present in only one document still sums (missing = 0).
-        assert_eq!(http.get("bad").and_then(Value::as_f64), Some(1.0));
-        // Non-numeric leaves keep the first document's value.
-        assert_eq!(merged.get("name").and_then(Value::as_str), Some("shard-0"));
-        assert_eq!(merged.get("up"), Some(&Value::Bool(true)));
-    }
-
-    #[test]
-    fn sum_objects_handles_empty_and_singleton_inputs() {
-        assert_eq!(sum_objects(&[]), Value::Obj(Vec::new()));
-        let a = json::parse(r#"{"x":7}"#).expect("a");
-        let merged = sum_objects(&[&a]);
-        assert_eq!(merged.get("x").and_then(Value::as_f64), Some(7.0));
-    }
-
-    #[test]
-    fn sum_objects_mixed_types_keep_the_first_value() {
-        let a = json::parse(r#"{"v":1}"#).expect("a");
-        let b = json::parse(r#"{"v":"two"}"#).expect("b");
-        let merged = sum_objects(&[&a, &b]);
-        assert_eq!(merged.get("v").and_then(Value::as_f64), Some(1.0));
     }
 }

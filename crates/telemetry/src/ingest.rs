@@ -15,76 +15,68 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::hist::LogHistogram;
-use crate::json::{self, Value};
+use crate::registry::{counter_block, Family, Summary, Unit};
 
-/// Telemetry for the WAL + memtable ingest pipeline.
-#[derive(Debug, Default)]
-pub struct IngestCounters {
-    appends: AtomicU64,
-    append_points: AtomicU64,
-    tombstones: AtomicU64,
-    tombstone_points: AtomicU64,
-    acks: AtomicU64,
-    rejected_too_large: AtomicU64,
-    rejected_backpressure: AtomicU64,
-    wal_bytes: AtomicU64,
-    fsyncs: AtomicU64,
-    compactions: AtomicU64,
-    compaction_failures: AtomicU64,
-    replays: AtomicU64,
-    replayed_records: AtomicU64,
-    torn_tails: AtomicU64,
-    invalidated_tiles: AtomicU64,
-    ack_ns: Mutex<LogHistogram>,
-    compact_ns: Mutex<LogHistogram>,
-    replay_ns: Mutex<LogHistogram>,
-}
+/// `op=` members: durable WAL records by operation.
+const RECORDS: Family = Family::counter(
+    "kdv_ingest_records_total",
+    "Durable WAL records written, by operation.",
+)
+.label("op");
 
-/// One reading of [`IngestCounters`], histograms included.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IngestSnapshot {
-    /// Append records durably written and acked.
-    pub appends: u64,
-    /// Points carried by those append records.
-    pub append_points: u64,
-    /// Tombstone records durably written and acked.
-    pub tombstones: u64,
-    /// Coordinates carried by those tombstone records.
-    pub tombstone_points: u64,
-    /// Writes acknowledged (each after its WAL record reached the
-    /// configured durability point).
-    pub acks: u64,
-    /// Requests refused with `413` (body over the configured cap).
-    pub rejected_too_large: u64,
-    /// Requests refused with `429` (memtable full; retry after
-    /// compaction catches up).
-    pub rejected_backpressure: u64,
-    /// WAL bytes appended (records only, not the header).
-    pub wal_bytes: u64,
-    /// WAL fsync calls issued (group commit batches several acks into
-    /// one of these under `--fsync batch`).
-    pub fsyncs: u64,
-    /// Memtable→snapshot compactions completed.
-    pub compactions: u64,
-    /// Compactions that failed and left the WAL untouched (every acked
-    /// record is still replayable).
-    pub compaction_failures: u64,
-    /// Boot-time WAL replays performed.
-    pub replays: u64,
-    /// Records recovered by those replays.
-    pub replayed_records: u64,
-    /// Replays that found a torn tail (records past the valid prefix
-    /// were discarded — unacked by construction).
-    pub torn_tails: u64,
-    /// Cached tiles invalidated because an ingest batch's dilated MBR
-    /// intersected them.
-    pub invalidated_tiles: u64,
-    /// Wall-clock nanoseconds from request receipt to durable ack.
-    pub ack_ns: LogHistogram,
-    /// Wall-clock nanoseconds per compaction.
-    pub compact_ns: LogHistogram,
-    /// Wall-clock nanoseconds per boot-time replay.
-    pub replay_ns: LogHistogram,
+/// `op=` members: points carried by those records.
+const POINTS: Family = Family::counter(
+    "kdv_ingest_points_total",
+    "Points carried by durable WAL records, by operation.",
+)
+.label("op");
+
+/// `reason=` members: requests refused before any WAL write (`413`
+/// over the body cap, `429` memtable backpressure).
+const REJECTIONS: Family = Family::counter(
+    "kdv_ingest_rejections_total",
+    "Ingest requests refused before any WAL write.",
+)
+.label("reason");
+
+counter_block! {
+    /// Telemetry for the WAL + memtable ingest pipeline.
+    pub struct IngestCounters;
+    /// One reading of [`IngestCounters`], histograms included; fields
+    /// are the rows of [`INGEST`].
+    pub struct IngestSnapshot;
+    /// The `ingest` block.
+    pub static INGEST = "ingest" {
+        appends: AtomicU64 = RECORDS.member("append"),
+        append_points: AtomicU64 = POINTS.member("append"),
+        tombstones: AtomicU64 = RECORDS.member("tombstone"),
+        tombstone_points: AtomicU64 = POINTS.member("tombstone"),
+        acks: AtomicU64 = Family::counter("kdv_ingest_acks_total",
+            "Writes acknowledged after reaching the durability point."),
+        rejected_too_large: AtomicU64 = REJECTIONS.member("too_large"),
+        rejected_backpressure: AtomicU64 = REJECTIONS.member("backpressure"),
+        wal_bytes: AtomicU64 =
+            Family::counter("kdv_ingest_wal_bytes_total", "WAL record bytes appended.")
+                .unit(Unit::Bytes),
+        fsyncs: AtomicU64 = Family::counter("kdv_ingest_fsyncs_total", "WAL fsync calls issued."),
+        compactions: AtomicU64 = Family::counter("kdv_ingest_compactions_total",
+            "Memtable-to-snapshot compactions completed."),
+        compaction_failures: AtomicU64 = Family::counter("kdv_ingest_compaction_failures_total",
+            "Compactions that failed and left the WAL intact."),
+        replays: AtomicU64 = Family::counter("kdv_ingest_replays_total", "Boot-time WAL replays."),
+        replayed_records: AtomicU64 = Family::counter("kdv_ingest_replayed_records_total",
+            "Records recovered by WAL replays."),
+        torn_tails: AtomicU64 = Family::counter("kdv_ingest_torn_tails_total",
+            "Replays that truncated a torn WAL tail."),
+        invalidated_tiles: AtomicU64 = Family::counter("kdv_ingest_invalidated_tiles_total",
+            "Cached tiles dropped because a write could alter them."),
+        ack_ns: Mutex<LogHistogram> = Family::histogram("kdv_ingest_ack_seconds",
+            "Wall time from WAL append to durable ack.", Summary::Brief, Unit::Ns),
+        compact_ns: Mutex<LogHistogram> = Family::histogram("kdv_ingest_compaction_seconds",
+            "Wall time per compaction.", Summary::Brief, Unit::Ns),
+        replay_ns: Mutex<LogHistogram> = Family::histogram("kdv_ingest_replay_seconds",
+            "Wall time per boot-time WAL replay.", Summary::Brief, Unit::Ns),
+    }
 }
 
 impl IngestCounters {
@@ -154,73 +146,12 @@ impl IngestCounters {
     pub fn invalidated(&self, tiles: u64) {
         self.invalidated_tiles.fetch_add(tiles, Ordering::Relaxed);
     }
-
-    /// Reads every counter and clones the histograms.
-    pub fn snapshot(&self) -> IngestSnapshot {
-        IngestSnapshot {
-            appends: self.appends.load(Ordering::Relaxed),
-            append_points: self.append_points.load(Ordering::Relaxed),
-            tombstones: self.tombstones.load(Ordering::Relaxed),
-            tombstone_points: self.tombstone_points.load(Ordering::Relaxed),
-            acks: self.acks.load(Ordering::Relaxed),
-            rejected_too_large: self.rejected_too_large.load(Ordering::Relaxed),
-            rejected_backpressure: self.rejected_backpressure.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            fsyncs: self.fsyncs.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            compaction_failures: self.compaction_failures.load(Ordering::Relaxed),
-            replays: self.replays.load(Ordering::Relaxed),
-            replayed_records: self.replayed_records.load(Ordering::Relaxed),
-            torn_tails: self.torn_tails.load(Ordering::Relaxed),
-            invalidated_tiles: self.invalidated_tiles.load(Ordering::Relaxed),
-            ack_ns: self.ack_ns.lock().expect("histogram lock").clone(),
-            compact_ns: self.compact_ns.lock().expect("histogram lock").clone(),
-            replay_ns: self.replay_ns.lock().expect("histogram lock").clone(),
-        }
-    }
-}
-
-impl IngestSnapshot {
-    /// JSON object with counters and histogram summaries.
-    pub fn to_json(&self) -> Value {
-        let hist_json = |h: &LogHistogram| {
-            Value::obj(vec![
-                ("count", json::num_u(h.count())),
-                ("mean", json::num_f(h.mean())),
-                ("p50_le", json::num_u(h.quantile_le(0.5))),
-                ("p99_le", json::num_u(h.quantile_le(0.99))),
-                ("max", json::num_u(h.max())),
-            ])
-        };
-        Value::obj(vec![
-            ("appends", json::num_u(self.appends)),
-            ("append_points", json::num_u(self.append_points)),
-            ("tombstones", json::num_u(self.tombstones)),
-            ("tombstone_points", json::num_u(self.tombstone_points)),
-            ("acks", json::num_u(self.acks)),
-            ("rejected_too_large", json::num_u(self.rejected_too_large)),
-            (
-                "rejected_backpressure",
-                json::num_u(self.rejected_backpressure),
-            ),
-            ("wal_bytes", json::num_u(self.wal_bytes)),
-            ("fsyncs", json::num_u(self.fsyncs)),
-            ("compactions", json::num_u(self.compactions)),
-            ("compaction_failures", json::num_u(self.compaction_failures)),
-            ("replays", json::num_u(self.replays)),
-            ("replayed_records", json::num_u(self.replayed_records)),
-            ("torn_tails", json::num_u(self.torn_tails)),
-            ("invalidated_tiles", json::num_u(self.invalidated_tiles)),
-            ("ack_ns", hist_json(&self.ack_ns)),
-            ("compact_ns", hist_json(&self.compact_ns)),
-            ("replay_ns", hist_json(&self.replay_ns)),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use std::sync::Arc;
 
     #[test]
@@ -264,7 +195,7 @@ mod tests {
         let c = IngestCounters::default();
         c.append(4, 900);
         c.replay(2, false, 100);
-        let doc = c.snapshot().to_json();
+        let doc = INGEST.json(&c.snapshot());
         let back = crate::json::parse(&doc.render()).expect("parses");
         assert_eq!(back.get("appends").and_then(Value::as_f64), Some(1.0));
         assert_eq!(back.get("append_points").and_then(Value::as_f64), Some(4.0));

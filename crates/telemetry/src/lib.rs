@@ -21,21 +21,18 @@
 //! * [`fault`] — a deterministic fault-injecting probe (forced
 //!   resyncs, slow nodes, poisoned bound evaluations) driving the
 //!   workspace's chaos-test suite,
-//! * [`serve`] — lock-free cache and HTTP traffic counters for the
-//!   long-running tile server (`kdv-server`), scrape-friendly via the
-//!   same JSON writer,
-//! * [`cluster`] — router-tier traffic counters (sheds, failovers,
-//!   upstream errors) and the structural JSON rollup that merges N
-//!   shard metric documents into one fleet view,
-//! * [`ingest`] — the streaming-ingest ledger (WAL appends, durable
-//!   acks, backpressure rejections, compactions, boot-time replays)
-//!   backing the server's durability contract,
+//! * [`registry`] — the one declaration of every serving metric: each
+//!   row carries its JSON key, Prometheus family, kind and unit, and
+//!   the same rows drive the `/metrics` JSON, the Prometheus text
+//!   ([`prom`]), the router's fleet rollup and the README metrics
+//!   table,
+//! * [`serve`], [`store`], [`ingest`], [`pyramid`], [`cluster`] — the
+//!   lock-free counter blocks of the tile server (cache and HTTP
+//!   traffic, snapshot catalog, the streaming-ingest ledger, coreset
+//!   level picks) and of the cluster router, each with its table,
 //! * [`trace`] — end-to-end request tracing: named spans against one
 //!   monotonic origin, bounded rings of recent and slow traces, and a
-//!   per-depth refinement work profile teed off the same probe hooks,
-//! * [`prom`] — Prometheus text exposition of the same counters and
-//!   histograms, so standard scrapers can consume the server without
-//!   a JSON adapter.
+//!   per-depth refinement work profile teed off the same probe hooks.
 //!
 //! Everything here is pay-as-you-go: the engine's refinement loop is
 //! monomorphized over the probe, so un-instrumented renders (the
@@ -54,20 +51,23 @@ pub mod json;
 pub mod metrics;
 pub mod prom;
 pub mod pyramid;
+pub mod registry;
 pub mod serve;
 pub mod store;
 pub mod trace;
 
-pub use cluster::{sum_objects, RouterCounters, RouterSnapshot};
+pub use cluster::{RouterCounters, RouterSnapshot, ROUTER};
 pub use counters::EventCounters;
 pub use fault::{FaultPlan, FaultProbe};
 pub use hist::LogHistogram;
-pub use ingest::{IngestCounters, IngestSnapshot};
-pub use metrics::{Checkpoint, RenderMetrics, RenderStatus};
+pub use ingest::{IngestCounters, IngestSnapshot, INGEST};
+pub use metrics::{Checkpoint, RenderMetrics, RenderStatus, RENDER, RENDER_SHAPE};
 pub use prom::PromWriter;
-pub use pyramid::{PyramidCounters, PyramidSnapshot, MAX_TRACKED_LEVELS};
-pub use serve::{CacheCounters, CacheSnapshot, HttpCounters, HttpSnapshot};
-pub use store::{StoreCounters, StoreSnapshot};
+pub use pyramid::{PyramidCounters, PyramidSnapshot, MAX_TRACKED_LEVELS, PYRAMID};
+pub use registry::{Declared, Family, Kind, Metric, Reading, Summary, Table, Unit};
+pub use serve::{CacheCounters, CacheSnapshot, HttpCounters, HttpSnapshot, CACHE, HTTP};
+pub use store::{StoreCounters, StoreSnapshot, STORE};
 pub use trace::{
     DepthProfile, Span, TagValue, Trace, TraceBuilder, TraceId, TraceMeta, TraceRing, TracingProbe,
+    TRACE_RING,
 };

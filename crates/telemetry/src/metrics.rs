@@ -6,6 +6,7 @@ use kdv_core::raster::DensityGrid;
 use crate::counters::EventCounters;
 use crate::hist::LogHistogram;
 use crate::json::{self, Value};
+use crate::registry::{Family, Kind, Reading, Summary, Unit};
 
 /// A time-to-quality checkpoint: how many pixels had final values after
 /// how much elapsed time (progressive renders, paper §6 / Fig 20).
@@ -252,29 +253,6 @@ impl RenderMetrics {
     /// The cost map appears as a summary (shape + work totals), not the
     /// raw raster — that exports separately as an image.
     pub fn to_json(&self, query: &str) -> Value {
-        let hist_json = |h: &LogHistogram| {
-            Value::obj(vec![
-                ("count", json::num_u(h.count())),
-                ("sum", json::num_u(h.sum())),
-                ("max", json::num_u(h.max())),
-                ("mean", json::num_f(h.mean())),
-                ("p50_le", json::num_u(h.quantile_le(0.5))),
-                ("p99_le", json::num_u(h.quantile_le(0.99))),
-                (
-                    "buckets",
-                    Value::Arr(
-                        h.nonzero_buckets()
-                            .map(|(le, count)| {
-                                Value::obj(vec![
-                                    ("le", json::num_u(le)),
-                                    ("count", json::num_u(count)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        };
         let cost_map = match &self.cost_map {
             None => Value::Null,
             Some(map) => {
@@ -288,46 +266,78 @@ impl RenderMetrics {
                 ])
             }
         };
-        Value::obj(vec![
-            ("schema", Value::Str("kdv-metrics/1".into())),
-            ("query", Value::Str(query.into())),
-            ("pixels", json::num_u(self.pixels)),
-            ("wall_ms", json::num_f(self.wall_ns as f64 / 1e6)),
-            ("threads", json::num_u(self.threads as u64)),
-            ("status", Value::Str(self.status.as_str().into())),
-            ("degraded_pixels", json::num_u(self.degraded_pixels)),
-            ("band_retries", json::num_u(self.band_retries as u64)),
-            (
-                "counters",
+        let checkpoints = self
+            .checkpoints
+            .iter()
+            .map(|c| {
                 Value::obj(vec![
-                    ("heap_pops", json::num_u(self.events.heap_pops)),
-                    ("node_bounds", json::num_u(self.events.node_bounds)),
-                    ("leaf_scans", json::num_u(self.events.leaf_scans)),
-                    ("point_evals", json::num_u(self.events.point_evals)),
-                    ("resyncs", json::num_u(self.events.resyncs)),
-                    ("total_work", json::num_u(self.events.total_work())),
-                    ("frontier_reuse", json::num_u(self.frontier_reuse)),
-                    ("simd_lanes", json::num_u(self.simd_lanes as u64)),
-                ]),
-            ),
-            ("iterations", hist_json(&self.iterations)),
-            ("latency_ns", hist_json(&self.latency_ns)),
-            (
-                "checkpoints",
-                Value::Arr(
-                    self.checkpoints
-                        .iter()
-                        .map(|c| {
-                            Value::obj(vec![
-                                ("pixels", json::num_u(c.pixels)),
-                                ("elapsed_ms", json::num_f(c.elapsed_ns as f64 / 1e6)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("cost_map", cost_map),
-        ])
+                    ("pixels", json::num_u(c.pixels)),
+                    ("elapsed_ms", json::num_f(c.elapsed_ns as f64 / 1e6)),
+                ])
+            })
+            .collect();
+        let mut fields = vec![
+            ("schema".to_string(), Value::Str("kdv-metrics/1".into())),
+            ("query".to_string(), Value::Str(query.into())),
+        ];
+        fields.extend(RENDER_SHAPE.json_fields(self));
+        fields.push((
+            "status".to_string(),
+            Value::Str(self.status.as_str().into()),
+        ));
+        fields.extend(RENDER.json_fields(self));
+        fields.push(("checkpoints".to_string(), Value::Arr(checkpoints)));
+        fields.push(("cost_map".to_string(), cost_map));
+        Value::Obj(fields)
+    }
+}
+
+crate::metric_table! {
+    /// The render block's pixel count and shape, written before its
+    /// `status`: wall time (max over merged renders) and contributing
+    /// threads are JSON-only.
+    pub static RENDER_SHAPE: RenderMetrics = "render" {
+        "pixels": Family::counter("kdv_render_pixels_total", "Tile pixels rendered.")
+            => |m| Reading::U(m.pixels),
+        "wall_ms": Family::json_only(Kind::Gauge).unit(Unit::Ms)
+            => |m| Reading::F(m.wall_ns as f64 / 1e6),
+        "threads": Family::json_only(Kind::Gauge) => |m| Reading::U(m.threads as u64),
+    }
+}
+
+crate::metric_table! {
+    /// The render block's work accounting, written after its `status`.
+    pub static RENDER: RenderMetrics = "render" {
+        "degraded_pixels": Family::counter("kdv_render_degraded_pixels_total",
+            "Pixels cut short by a render budget.") => |m| Reading::U(m.degraded_pixels),
+        "band_retries": Family::counter("kdv_render_band_retries_total",
+            "Parallel bands retried sequentially after a worker panic.")
+            => |m| Reading::U(m.band_retries as u64),
+        "counters.heap_pops": Family::counter("kdv_render_heap_pops_total",
+            "Refinement heap pops across all tiles.") => |m| Reading::U(m.events.heap_pops),
+        "counters.node_bounds":
+            Family::counter("kdv_render_node_bounds_total", "Quadratic bound evaluations.")
+            => |m| Reading::U(m.events.node_bounds),
+        "counters.leaf_scans":
+            Family::counter("kdv_render_leaf_scans_total", "Leaves refined to their exact sums.")
+            => |m| Reading::U(m.events.leaf_scans),
+        "counters.point_evals":
+            Family::counter("kdv_render_point_evals_total", "Exact kernel evaluations at leaves.")
+            => |m| Reading::U(m.events.point_evals),
+        "counters.resyncs": Family::counter("kdv_render_resyncs_total",
+            "Kahan-resync passes over the refinement heap.") => |m| Reading::U(m.events.resyncs),
+        "counters.total_work": Family::json_only(Kind::Counter)
+            => |m| Reading::U(m.events.total_work()),
+        "counters.frontier_reuse": Family::counter("kdv_render_frontier_reuse_total",
+            "Node-bound evaluations avoided via shared tile frontiers.")
+            => |m| Reading::U(m.frontier_reuse),
+        "counters.simd_lanes": Family::gauge("kdv_render_simd_lanes",
+            "f64 lanes per distance evaluation (4 on the AVX2 path, 1 scalar).")
+            => |m| Reading::U(m.simd_lanes as u64),
+        "iterations": Family::histogram("kdv_render_iterations", "Refinement iterations per pixel.",
+            Summary::Full, Unit::None) => |m| Reading::Hist(&m.iterations),
+        "latency_ns": Family::histogram("kdv_render_pixel_seconds", "Per-pixel refinement latency.",
+            Summary::Full, Unit::Ns) => |m| Reading::Hist(&m.latency_ns),
     }
 }
 

@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json::{self, Value};
+use crate::registry::{Family, Kind, Reading};
 
 /// Fixed number of per-level slots. Ladders are geometric (1k·4^k), so
 /// eight levels already covers ~4 billion points; deeper levels fold
@@ -66,31 +66,30 @@ impl PyramidSnapshot {
     pub fn pyramid_renders(&self) -> u64 {
         self.level_renders.iter().sum()
     }
+}
 
-    /// JSON object: per-level counts (trailing always-zero slots
-    /// trimmed, but the array never renders empty) and the full-index
-    /// count.
-    pub fn to_json(&self) -> Value {
-        let used = self
-            .level_renders
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(1, |i| i + 1);
-        let levels: Vec<Value> = self.level_renders[..used]
-            .iter()
-            .map(|&c| json::num_u(c))
-            .collect();
-        Value::obj(vec![
-            ("level_renders", Value::Arr(levels)),
-            ("pyramid_renders", json::num_u(self.pyramid_renders())),
-            ("full_renders", json::num_u(self.full_renders)),
-        ])
+/// `level=` members: renders by the level that served them (`0`…`7`
+/// per slot, or `full`).
+const RENDERS: Family = Family::counter(
+    "kdv_pyramid_renders_total",
+    "Tile renders by the coreset level that served them.",
+)
+.label("level");
+
+crate::metric_table! {
+    /// The `pyramid` block: per-level counts (JSON drops trailing
+    /// always-zero slots), their total, and the full-index count.
+    pub static PYRAMID: PyramidSnapshot = "pyramid" {
+        "level_renders": RENDERS => |s| Reading::Slots(&s.level_renders),
+        "pyramid_renders": Family::json_only(Kind::Counter) => |s| Reading::U(s.pyramid_renders()),
+        "full_renders": RENDERS.member("full") => |s| Reading::U(s.full_renders),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
 
     #[test]
     fn counters_accumulate_per_level() {
@@ -112,7 +111,7 @@ mod tests {
     fn json_trims_trailing_zero_slots() {
         let c = PyramidCounters::default();
         c.level_render(1);
-        let doc = c.snapshot().to_json();
+        let doc = PYRAMID.json(&c.snapshot());
         let back = crate::json::parse(&doc.render()).expect("parses");
         let levels = back.get("level_renders").expect("levels");
         match levels {
@@ -122,7 +121,7 @@ mod tests {
         assert_eq!(back.get("full_renders").and_then(Value::as_f64), Some(0.0));
 
         // All-zero counters still render a non-empty array.
-        let empty = PyramidCounters::default().snapshot().to_json();
+        let empty = PYRAMID.json(&PyramidCounters::default().snapshot());
         let back = crate::json::parse(&empty.render()).expect("parses");
         match back.get("level_renders").expect("levels") {
             Value::Arr(items) => assert_eq!(items.len(), 1),

@@ -6,42 +6,40 @@
 //! threads bump the same counters concurrently and a scrape
 //! (`GET /metrics`) must read them without stopping the world. Both
 //! counter blocks here are plain `AtomicU64` bundles — lock-free,
-//! monotone, and `snapshot()`-able into ordinary structs that feed the
-//! [`crate::json`] writer.
+//! monotone, and `snapshot()`-able into ordinary structs whose
+//! [`crate::registry`] tables feed both `/metrics` formats.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::json::{self, Value};
+use crate::registry::{counter_block, ratio, Family, Kind, Reading, Unit};
 
-/// Lock-free tile-cache counters (hits, misses, insertions, evictions).
-///
-/// Byte-level *occupancy* lives in the cache itself (it needs the
-/// eviction lock anyway); everything monotone lives here so the hot
-/// read path never takes a lock just to count.
-#[derive(Debug, Default)]
-pub struct CacheCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
-    evicted_bytes: AtomicU64,
-}
-
-/// One consistent-enough reading of [`CacheCounters`] (each field is
-/// atomically read; the set is not a single atomic snapshot, which is
-/// fine for monotone counters).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that missed (and typically triggered a render).
-    pub misses: u64,
-    /// Entries inserted.
-    pub insertions: u64,
-    /// Entries evicted to make room.
-    pub evictions: u64,
-    /// Total payload bytes evicted.
-    pub evicted_bytes: u64,
+counter_block! {
+    /// Lock-free tile-cache counters (hits, misses, insertions,
+    /// evictions).
+    ///
+    /// Byte-level *occupancy* lives in the cache itself (it needs the
+    /// eviction lock anyway); everything monotone lives here so the hot
+    /// read path never takes a lock just to count.
+    pub struct CacheCounters;
+    /// One consistent-enough reading of [`CacheCounters`] (each field is
+    /// atomically read; the set is not a single atomic snapshot, which is
+    /// fine for monotone counters). Fields are the rows of [`CACHE`].
+    pub struct CacheSnapshot;
+    /// The `cache` block's counters (the serving cache appends its
+    /// occupancy gauges).
+    pub static CACHE = "cache" {
+        hits: AtomicU64 = Family::counter("kdv_cache_hits_total", "Tile-cache hits."),
+        misses: AtomicU64 = Family::counter("kdv_cache_misses_total", "Tile-cache misses."),
+        hit_rate = Family::json_only(Kind::Ratio { num: "hits", rest: "misses" })
+            => |s| Reading::F(s.hit_rate()),
+        insertions: AtomicU64 =
+            Family::counter("kdv_cache_insertions_total", "Tiles inserted into the cache."),
+        evictions: AtomicU64 =
+            Family::counter("kdv_cache_evictions_total", "Tiles evicted to make room."),
+        evicted_bytes: AtomicU64 =
+            Family::counter("kdv_cache_evicted_bytes_total", "Payload bytes evicted.")
+                .unit(Unit::Bytes),
+    }
 }
 
 impl CacheCounters {
@@ -65,77 +63,41 @@ impl CacheCounters {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
-
-    /// Reads every counter.
-    pub fn snapshot(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-        }
-    }
 }
 
 impl CacheSnapshot {
     /// Hit fraction over all lookups (0 when nothing was looked up).
     pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// JSON object with every counter plus the derived hit rate.
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("hits", json::num_u(self.hits)),
-            ("misses", json::num_u(self.misses)),
-            ("hit_rate", json::num_f(self.hit_rate())),
-            ("insertions", json::num_u(self.insertions)),
-            ("evictions", json::num_u(self.evictions)),
-            ("evicted_bytes", json::num_u(self.evicted_bytes)),
-        ])
+        ratio(self.hits as f64, self.misses as f64)
     }
 }
 
-/// Lock-free HTTP traffic counters, bumped by every worker thread.
-#[derive(Debug, Default)]
-pub struct HttpCounters {
-    requests: AtomicU64,
-    ok: AtomicU64,
-    degraded: AtomicU64,
-    bad_request: AtomicU64,
-    not_found: AtomicU64,
-    rejected: AtomicU64,
-    internal_error: AtomicU64,
-    bytes_sent: AtomicU64,
-}
+/// `class=` members of the HTTP response family.
+const RESPONSES: Family =
+    Family::counter("kdv_http_responses_total", "Responses by outcome class.").label("class");
 
-/// One reading of [`HttpCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HttpSnapshot {
-    /// Requests that reached routing (parsed request line).
-    pub requests: u64,
-    /// `200` responses, including degraded ones.
-    pub ok: u64,
-    /// `200` responses that carried the `Degraded` marker (a budget
-    /// ran out and the tile holds certified-midpoint pixels).
-    pub degraded: u64,
-    /// `400` responses (malformed tile address or request).
-    pub bad_request: u64,
-    /// `404` responses.
-    pub not_found: u64,
-    /// `429` responses (admission control: queue full).
-    pub rejected: u64,
-    /// `500` responses (render errors that were not the client's
-    /// fault).
-    pub internal_error: u64,
-    /// Response payload bytes written (bodies only, not headers).
-    pub bytes_sent: u64,
+counter_block! {
+    /// Lock-free HTTP traffic counters, bumped by every worker thread.
+    pub struct HttpCounters;
+    /// One reading of [`HttpCounters`]; fields are the rows of [`HTTP`].
+    pub struct HttpSnapshot;
+    /// The `http` block. `ok` counts every `200`, degraded ones
+    /// included; `degraded` counts the `200`s whose tile holds
+    /// budget-cut certified-midpoint pixels.
+    pub static HTTP = "http" {
+        requests: AtomicU64 =
+            Family::counter("kdv_http_requests_total", "Requests that reached routing."),
+        ok: AtomicU64 = RESPONSES.member("ok"),
+        degraded: AtomicU64 = Family::counter("kdv_http_degraded_responses_total",
+            "200 responses that carried the degraded marker."),
+        bad_request: AtomicU64 = RESPONSES.member("bad_request"),
+        not_found: AtomicU64 = RESPONSES.member("not_found"),
+        rejected: AtomicU64 = RESPONSES.member("rejected"),
+        internal_error: AtomicU64 = RESPONSES.member("internal_error"),
+        bytes_sent: AtomicU64 =
+            Family::counter("kdv_http_response_bytes_total", "Response body bytes written.")
+                .unit(Unit::Bytes),
+    }
 }
 
 impl HttpCounters {
@@ -176,41 +138,12 @@ impl HttpCounters {
     pub fn sent(&self, bytes: u64) {
         self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
     }
-
-    /// Reads every counter.
-    pub fn snapshot(&self) -> HttpSnapshot {
-        HttpSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            ok: self.ok.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            not_found: self.not_found.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            internal_error: self.internal_error.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl HttpSnapshot {
-    /// JSON object with every counter.
-    pub fn to_json(&self) -> Value {
-        Value::obj(vec![
-            ("requests", json::num_u(self.requests)),
-            ("ok", json::num_u(self.ok)),
-            ("degraded", json::num_u(self.degraded)),
-            ("bad_request", json::num_u(self.bad_request)),
-            ("not_found", json::num_u(self.not_found)),
-            ("rejected", json::num_u(self.rejected)),
-            ("internal_error", json::num_u(self.internal_error)),
-            ("bytes_sent", json::num_u(self.bytes_sent)),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use std::sync::Arc;
 
     #[test]
@@ -250,7 +183,7 @@ mod tests {
         assert_eq!(s.rejected, 1);
         assert_eq!(s.bytes_sent, 1024);
 
-        let doc = s.to_json();
+        let doc = HTTP.json(&s);
         let back = crate::json::parse(&doc.render()).expect("parses");
         assert_eq!(back.get("ok").and_then(Value::as_f64), Some(2.0));
         assert_eq!(back.get("degraded").and_then(Value::as_f64), Some(1.0));

@@ -13,43 +13,35 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::hist::LogHistogram;
-use crate::json::{self, Value};
+use crate::registry::{counter_block, Family, Summary, Unit};
 
-/// Telemetry for a snapshot-backed dataset catalog.
-#[derive(Debug, Default)]
-pub struct StoreCounters {
-    loads: AtomicU64,
-    builds: AtomicU64,
-    load_failures: AtomicU64,
-    checksum_failures: AtomicU64,
-    evictions: AtomicU64,
-    evicted_bytes: AtomicU64,
-    load_ns: Mutex<LogHistogram>,
-    build_ns: Mutex<LogHistogram>,
-}
-
-/// One reading of [`StoreCounters`], histograms included.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreSnapshot {
-    /// Datasets materialized from a snapshot file.
-    pub loads: u64,
-    /// Datasets materialized by building from raw data.
-    pub builds: u64,
-    /// Failed materializations of either kind (the dataset stayed
-    /// unavailable; checksum failures are counted separately *and*
-    /// here).
-    pub load_failures: u64,
-    /// Loads rejected specifically for CRC mismatches — the corruption
-    /// alarm an operator should page on.
-    pub checksum_failures: u64,
-    /// Idle datasets evicted under the catalog byte budget.
-    pub evictions: u64,
-    /// Total estimated bytes released by evictions.
-    pub evicted_bytes: u64,
-    /// Wall-clock nanoseconds per snapshot load.
-    pub load_ns: LogHistogram,
-    /// Wall-clock nanoseconds per from-scratch build.
-    pub build_ns: LogHistogram,
+counter_block! {
+    /// Telemetry for a snapshot-backed dataset catalog.
+    pub struct StoreCounters;
+    /// One reading of [`StoreCounters`], histograms included; fields are
+    /// the rows of [`STORE`].
+    pub struct StoreSnapshot;
+    /// The `store` block (the serving catalog appends its status).
+    /// `load_failures` counts every failed materialization, the
+    /// checksum failures included.
+    pub static STORE = "store" {
+        loads: AtomicU64 =
+            Family::counter("kdv_store_loads_total", "Datasets materialized from snapshots."),
+        builds: AtomicU64 =
+            Family::counter("kdv_store_builds_total", "Datasets built from raw data."),
+        load_failures: AtomicU64 = Family::counter("kdv_store_load_failures_total",
+            "Failed dataset materializations."),
+        checksum_failures: AtomicU64 = Family::counter("kdv_store_checksum_failures_total",
+            "Snapshot loads rejected for CRC mismatches."),
+        evictions: AtomicU64 = Family::counter("kdv_store_evictions_total",
+            "Datasets evicted under the byte budget."),
+        evicted_bytes: AtomicU64 = Family::counter("kdv_store_evicted_bytes_total",
+            "Estimated bytes released by dataset evictions.").unit(Unit::Bytes),
+        load_ns: Mutex<LogHistogram> = Family::histogram("kdv_store_load_seconds",
+            "Wall time per snapshot load.", Summary::Brief, Unit::Ns),
+        build_ns: Mutex<LogHistogram> = Family::histogram("kdv_store_build_seconds",
+            "Wall time per from-source dataset build.", Summary::Brief, Unit::Ns),
+    }
 }
 
 impl StoreCounters {
@@ -79,50 +71,12 @@ impl StoreCounters {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         self.evicted_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
-
-    /// Reads every counter and clones the histograms.
-    pub fn snapshot(&self) -> StoreSnapshot {
-        StoreSnapshot {
-            loads: self.loads.load(Ordering::Relaxed),
-            builds: self.builds.load(Ordering::Relaxed),
-            load_failures: self.load_failures.load(Ordering::Relaxed),
-            checksum_failures: self.checksum_failures.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
-            load_ns: self.load_ns.lock().expect("histogram lock").clone(),
-            build_ns: self.build_ns.lock().expect("histogram lock").clone(),
-        }
-    }
-}
-
-impl StoreSnapshot {
-    /// JSON object with counters and histogram summaries.
-    pub fn to_json(&self) -> Value {
-        let hist_json = |h: &LogHistogram| {
-            Value::obj(vec![
-                ("count", json::num_u(h.count())),
-                ("mean", json::num_f(h.mean())),
-                ("p50_le", json::num_u(h.quantile_le(0.5))),
-                ("p99_le", json::num_u(h.quantile_le(0.99))),
-                ("max", json::num_u(h.max())),
-            ])
-        };
-        Value::obj(vec![
-            ("loads", json::num_u(self.loads)),
-            ("builds", json::num_u(self.builds)),
-            ("load_failures", json::num_u(self.load_failures)),
-            ("checksum_failures", json::num_u(self.checksum_failures)),
-            ("evictions", json::num_u(self.evictions)),
-            ("evicted_bytes", json::num_u(self.evicted_bytes)),
-            ("load_ns", hist_json(&self.load_ns)),
-            ("build_ns", hist_json(&self.build_ns)),
-        ])
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
     use std::sync::Arc;
 
     #[test]
@@ -152,7 +106,7 @@ mod tests {
         c.load(500);
         c.build(10_000);
         c.load_failure(true);
-        let doc = c.snapshot().to_json();
+        let doc = STORE.json(&c.snapshot());
         let back = crate::json::parse(&doc.render()).expect("parses");
         assert_eq!(back.get("loads").and_then(Value::as_f64), Some(1.0));
         assert_eq!(

@@ -39,6 +39,7 @@ use std::time::Instant;
 use kdv_core::engine::Probe;
 
 use crate::json::{self, Value};
+use crate::registry::{Family, Kind, Reading, Unit};
 
 /// Process-unique identifier of one traced request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -514,6 +515,19 @@ impl<A: Probe, B: Probe> Probe for TracingProbe<'_, A, B> {
         // `|` not `||`: both sides must observe the iteration even
         // when the first already forces.
         self.first.force_resync() | self.second.force_resync()
+    }
+}
+
+crate::metric_table! {
+    /// The `trace` block's ring counters (the server appends its stage
+    /// histograms).
+    pub static TRACE_RING: TraceRing = "trace" {
+        "slow_threshold_ms": Family::json_only(Kind::Gauge).unit(Unit::Ms)
+            => |r| Reading::U(r.slow_threshold_us() / 1_000),
+        "completed": Family::counter("kdv_traces_total", "Requests traced end to end.")
+            => |r| Reading::U(r.completed()),
+        "slow_seen": Family::counter("kdv_slow_traces_total",
+            "Traces at or over the slow threshold.") => |r| Reading::U(r.slow_seen()),
     }
 }
 
