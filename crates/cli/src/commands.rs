@@ -572,7 +572,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         cache_bytes: cache_mb << 20,
         cache_shards,
         policy,
-        margin_frac: 0.05,
         allow_shutdown: args.has("allow-shutdown"),
         debug_sleep: args.has("debug-sleep"),
         data_load_ms: input.as_ref().map_or(0, |(_, ms)| *ms),
@@ -659,6 +658,20 @@ pub fn serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The router flags `kdv router` and `kdv cluster` share.
+fn router_config(args: &Args, shards: Vec<String>) -> Result<RouterConfig, String> {
+    Ok(RouterConfig {
+        addr: args.get("addr").unwrap_or("127.0.0.1:8090").to_string(),
+        shards,
+        workers: args.get_parsed("workers", 8usize)?,
+        queue: args.get_parsed("queue", 128usize)?,
+        max_inflight: args.get_parsed("max-inflight", 64usize)?,
+        probe_ms: args.get_parsed("probe-ms", 250u64)?,
+        max_z: args.get_parsed("max-z", 24u8)?,
+        max_body: args.get_parsed("ingest-max-kb", 1024u64)? << 10,
+    })
+}
+
 /// `kdv router` — the cluster tier's consistent-hash reverse proxy
 /// over an externally managed set of shards.
 pub fn router(args: &Args) -> Result<(), String> {
@@ -689,16 +702,7 @@ pub fn router(args: &Args) -> Result<(), String> {
     if shards.is_empty() {
         return Err("--shards needs at least one HOST:PORT".into());
     }
-    let config = RouterConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:8090").to_string(),
-        shards,
-        workers: args.get_parsed("workers", 8usize)?,
-        queue: args.get_parsed("queue", 128usize)?,
-        max_inflight: args.get_parsed("max-inflight", 64usize)?,
-        probe_ms: args.get_parsed("probe-ms", 250u64)?,
-        max_z: args.get_parsed("max-z", 24u8)?,
-        max_body: args.get_parsed("ingest-max-kb", 1024u64)? << 10,
-    };
+    let config = router_config(args, shards)?;
     let n = config.shards.len();
     let router = Router::start(config).map_err(|e| e.to_string())?;
     let bound = router.local_addr();
@@ -776,21 +780,13 @@ pub fn cluster(args: &Args) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     let addrs = sup.addrs();
     println!("spawned {shards} shard(s): {}", addrs.join(", "));
-    let config = RouterConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:8090").to_string(),
-        shards: addrs,
-        workers: args.get_parsed("workers", 8usize)?,
-        queue: args.get_parsed("queue", 128usize)?,
-        max_inflight: args.get_parsed("max-inflight", 64usize)?,
-        probe_ms: args.get_parsed("probe-ms", 250u64)?,
-        max_z: args.get_parsed("max-z", 24u8)?,
-        max_body: args.get_parsed("ingest-max-kb", 1024u64)? << 10,
-    };
-    let router = match Router::start(config) {
+    let router = match router_config(args, addrs)
+        .and_then(|config| Router::start(config).map_err(|e| e.to_string()))
+    {
         Ok(router) => router,
         Err(e) => {
             sup.stop();
-            return Err(e.to_string());
+            return Err(e);
         }
     };
     let bound = router.local_addr();

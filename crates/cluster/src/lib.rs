@@ -39,6 +39,6 @@ pub mod ring;
 pub mod supervisor;
 
 pub use health::ShardSlot;
-pub use proxy::{Router, RouterConfig, RouterError};
+pub use proxy::{Router, RouterConfig};
 pub use ring::Ring;
 pub use supervisor::{SpawnError, Supervisor, SupervisorConfig};

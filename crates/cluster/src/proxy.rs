@@ -1,8 +1,8 @@
 //! The router process: a dependency-free HTTP/1.1 reverse proxy with
 //! rendezvous-hash routing, bounded admission, and one-hop failover.
 //!
-//! Same process shape as the shard server it fronts — an accept
-//! thread feeding a bounded queue, a fixed worker pool, `429 +
+//! It runs the shard's own connection plumbing, [`Frontend`] — an
+//! accept thread feeding a bounded queue, a fixed worker pool, `429 +
 //! Retry-After` shed at the door — so the two tiers degrade the same
 //! way under overload. Per request the router:
 //!
@@ -22,26 +22,21 @@
 
 use std::collections::HashSet;
 use std::io::{self, Read as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kdv_server::http::{read_request_from, text_response, Request, RequestError, Response};
-use kdv_server::{parse_tile_path, valid_dataset_name};
+use kdv_server::http::{
+    text_response, Frontend, Request, RequestError, Response, Service, SOCKET_TIMEOUT,
+};
+use kdv_server::{parse_tile_path, valid_dataset_name, ServeError};
 use kdv_telemetry::{RouterCounters, TraceId};
 
 use crate::health::ShardSlot;
 use crate::metrics;
 use crate::ring::Ring;
-
-/// Client-side socket budget (same as the shard server's).
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Keep-alive idle window for client connections (mirrors the shard).
-const KEEPALIVE_IDLE: Duration = Duration::from_secs(2);
 
 /// Upstream connect budget. Loopback/LAN shards either accept fast or
 /// are down; waiting longer just stalls the failover retry.
@@ -89,26 +84,6 @@ impl Default for RouterConfig {
     }
 }
 
-/// Why a router could not start.
-#[derive(Debug)]
-pub enum RouterError {
-    /// Invalid configuration.
-    Config(String),
-    /// Socket-level failure.
-    Io(io::Error),
-}
-
-impl std::fmt::Display for RouterError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RouterError::Config(m) => write!(f, "router configuration: {m}"),
-            RouterError::Io(e) => write!(f, "router io: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RouterError {}
-
 pub(crate) struct RouterInner {
     pub(crate) shards: Vec<Arc<ShardSlot>>,
     pub(crate) ring: Ring,
@@ -119,39 +94,30 @@ pub(crate) struct RouterInner {
     /// ever write one WAL.
     mutable: Mutex<HashSet<String>>,
     shutdown: AtomicBool,
-    local_addr: SocketAddr,
     pub(crate) started: Instant,
     max_inflight: usize,
     max_z: u8,
-    max_body: u64,
 }
 
 /// A running router (see [`Router::start`]).
 pub struct Router {
     inner: Arc<RouterInner>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    prober: Option<JoinHandle<()>>,
+    front: Frontend<RouterInner>,
+    prober: JoinHandle<()>,
 }
 
 impl Router {
-    /// Binds the listen socket, spawns the accept/worker/prober
-    /// threads, and starts routing.
-    pub fn start(config: RouterConfig) -> Result<Self, RouterError> {
+    /// Starts the health prober and the [`Frontend`] (`kdv-router-*`
+    /// threads), and starts routing.
+    pub fn start(config: RouterConfig) -> Result<Self, ServeError> {
         if config.shards.is_empty() {
-            return Err(RouterError::Config("need at least one shard".into()));
+            return Err(ServeError::Config("need at least one shard".into()));
         }
-        if config.workers == 0 {
-            return Err(RouterError::Config("need at least one worker".into()));
-        }
-        if config.queue == 0 || config.max_inflight == 0 {
-            return Err(RouterError::Config(
-                "queue depth and in-flight cap must be at least 1".into(),
+        if config.max_inflight == 0 {
+            return Err(ServeError::Config(
+                "in-flight cap must be at least 1".into(),
             ));
         }
-        let listener = TcpListener::bind(&config.addr).map_err(RouterError::Io)?;
-        let local_addr = listener.local_addr().map_err(RouterError::Io)?;
         let shards: Vec<Arc<ShardSlot>> = config
             .shards
             .iter()
@@ -164,13 +130,10 @@ impl Router {
             counters: RouterCounters::default(),
             mutable: Mutex::new(HashSet::new()),
             shutdown: AtomicBool::new(false),
-            local_addr,
             started: Instant::now(),
             max_inflight: config.max_inflight,
             max_z: config.max_z,
-            max_body: config.max_body,
         });
-
         let probe_every = Duration::from_millis(config.probe_ms.max(10));
         let prober = {
             let inner = Arc::clone(&inner);
@@ -183,42 +146,34 @@ impl Router {
                         }
                         std::thread::sleep(probe_every);
                     }
-                })
-                .map_err(RouterError::Io)?
+                })?
         };
-
-        let (tx, rx) = sync_channel::<(TcpStream, Instant)>(config.queue);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let inner = Arc::clone(&inner);
-            let rx = Arc::clone(&rx);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("kdv-router-worker-{i}"))
-                    .spawn(move || worker_loop(&inner, &rx))
-                    .map_err(RouterError::Io)?,
-            );
-        }
-        let accept = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("kdv-router-accept".into())
-                .spawn(move || accept_loop(&inner, &listener, tx))
-                .map_err(RouterError::Io)?
+        let started = Frontend::start(
+            &config.addr,
+            "kdv-router",
+            config.workers,
+            config.queue,
+            config.max_body,
+            Arc::clone(&inner),
+        );
+        let front = match started {
+            Ok(front) => front,
+            Err(e) => {
+                inner.shutdown.store(true, Ordering::SeqCst);
+                let _ = prober.join();
+                return Err(e);
+            }
         };
         Ok(Self {
             inner,
-            addr: local_addr,
-            accept: Some(accept),
-            workers,
-            prober: Some(prober),
+            front,
+            prober,
         })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Points shard `index` at a new address (supervisor respawn).
@@ -229,135 +184,47 @@ impl Router {
     }
 
     /// Initiates shutdown and joins every thread.
-    pub fn stop(mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.prober.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        self.front.stop();
+        let _ = self.prober.join();
     }
 }
 
-fn accept_loop(
-    inner: &RouterInner,
-    listener: &TcpListener,
-    tx: std::sync::mpsc::SyncSender<(TcpStream, Instant)>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
+impl Service for RouterInner {
+    type Exchange = ();
+
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn shed(&self) {
+        self.counters.shed();
+    }
+
+    fn begin(&self, _accepted: Instant) {}
+
+    fn respond(self: &Arc<Self>, _: &mut (), request: Result<&Request, &RequestError>) -> Response {
+        let request = match request {
+            Ok(request) => request,
+            Err(reject) => return reject.response(),
         };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-        let _ = stream.set_nodelay(true);
-        match tx.try_send((stream, Instant::now())) {
-            Ok(()) => {}
-            Err(TrySendError::Full((mut stream, _))) => {
-                inner.counters.shed();
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                let mut scratch = [0u8; 1024];
-                let _ = stream.read(&mut scratch);
-                let resp = text_response(429, "Too Many Requests", "router queue is full")
-                    .header("Retry-After", "1");
-                let _ = resp.write_to(&mut stream);
-            }
-            Err(TrySendError::Disconnected(_)) => break,
-        }
+        self.counters.request();
+        // Adopt the client's trace ID when it forwarded a valid one
+        // (router behind router, or a client correlating its own logs);
+        // otherwise draw a fresh ID for the whole downstream story.
+        let trace_id = request
+            .trace_id
+            .as_deref()
+            .and_then(TraceId::from_hex)
+            .unwrap_or_else(TraceId::next);
+        route(self, request, trace_id)
     }
-}
 
-fn worker_loop(inner: &Arc<RouterInner>, rx: &Mutex<Receiver<(TcpStream, Instant)>>) {
-    loop {
-        let stream = {
-            let guard = rx.lock().expect("router queue poisoned");
-            guard.recv()
-        };
-        match stream {
-            Ok((stream, _accepted)) => handle_connection(inner, stream),
-            Err(_) => break,
+    fn finish(&self, _: (), request: Option<&Request>, response: &Response, wrote: bool) {
+        if wrote && request.is_some() {
+            self.counters.sent(response.body_len() as u64);
         }
     }
-}
-
-fn handle_connection(inner: &Arc<RouterInner>, mut stream: TcpStream) {
-    let mut carry = Vec::new();
-    loop {
-        if !handle_request(inner, &mut stream, &mut carry) {
-            break;
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if carry.is_empty() {
-            let _ = stream.set_read_timeout(Some(KEEPALIVE_IDLE));
-            let mut first = [0u8; 1];
-            match stream.peek(&mut first) {
-                Ok(n) if n > 0 => {}
-                _ => break,
-            }
-            let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-        }
-    }
-    if inner.shutdown.load(Ordering::SeqCst) {
-        let _ = TcpStream::connect(inner.local_addr);
-    }
-}
-
-/// Serves one client request; returns whether to keep the connection.
-fn handle_request(inner: &Arc<RouterInner>, stream: &mut TcpStream, carry: &mut Vec<u8>) -> bool {
-    let request = match read_request_from(stream, inner.max_body, carry) {
-        Ok(Ok(request)) => request,
-        Ok(Err(reject)) => {
-            let response = match reject {
-                RequestError::Bad(message) => text_response(400, "Bad Request", &message),
-                RequestError::TooLarge { declared, cap } => text_response(
-                    413,
-                    "Payload Too Large",
-                    &format!("declared body of {declared} bytes exceeds the {cap}-byte cap"),
-                )
-                .header("Retry-After", "1"),
-            };
-            let _ = response.write_to(stream);
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            return false;
-        }
-        Err(_) => return false,
-    };
-    inner.counters.request();
-    // Adopt the client's trace ID when it forwarded a valid one
-    // (router behind router, or a client correlating its own logs);
-    // otherwise draw a fresh ID for the whole downstream story.
-    let trace_id = request
-        .trace_id
-        .as_deref()
-        .and_then(TraceId::from_hex)
-        .unwrap_or_else(TraceId::next);
-    let keep = request.keep_alive && !inner.shutdown.load(Ordering::SeqCst);
-    let response = route(inner, &request, trace_id).keep_alive(keep);
-    let wrote = response.write_to(stream).is_ok();
-    let keep = keep && wrote;
-    if !keep {
-        let _ = stream.shutdown(std::net::Shutdown::Write);
-    }
-    if wrote {
-        inner.counters.sent(response.body_len() as u64);
-    }
-    keep
 }
 
 /// A parsed upstream response.

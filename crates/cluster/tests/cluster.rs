@@ -15,7 +15,10 @@
 //!   shard, ack durably (WAL on disk), pin the dataset, and subsequent
 //!   tiles reflect the new points;
 //! * bounded admission sheds `429 + Retry-After` when a shard's
-//!   in-flight cap is full;
+//!   in-flight cap is full, and at the router's door when its queue is;
+//! * the HTTP front end both tiers share answers pipelined keep-alive
+//!   requests and refuses oversized bodies with `413`, on a shard and
+//!   on the router in front of it;
 //! * `X-Kdv-Trace-Id` propagates client → router → shard and back.
 
 use std::io::{Read as _, Write as _};
@@ -449,6 +452,143 @@ fn inflight_cap_sheds_429_with_retry_after() {
     assert!(header(&headers, "retry-after").is_some(), "429 Retry-After");
     let (status, _, _) = parked.join().expect("parked thread");
     assert_eq!(status, 200, "parked request completes");
+
+    router.stop();
+    for s in shards {
+        s.stop();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn router_door_sheds_429_when_its_queue_is_full() {
+    let dir = temp_store("door");
+    let shards = start_shards(&dir, 1);
+    let router = Router::start(RouterConfig {
+        shards: vec![shards[0].local_addr().to_string()],
+        workers: 1,
+        queue: 1,
+        probe_ms: 50,
+        ..RouterConfig::default()
+    })
+    .expect("start router");
+    let addr = router.local_addr();
+
+    // Park the only worker, then fill the only queue slot.
+    let busy: Vec<_> = (0..2)
+        .map(|_| {
+            let t = std::thread::spawn(move || get(addr, "/debug/sleep/1500").0);
+            std::thread::sleep(Duration::from_millis(300));
+            t
+        })
+        .collect();
+    let mut saw_shed = false;
+    for _ in 0..3 {
+        let (status, headers, _) = get(addr, "/healthz");
+        if status == 429 {
+            assert_eq!(header(&headers, "retry-after"), Some("1"));
+            saw_shed = true;
+            break;
+        }
+    }
+    assert!(saw_shed, "a full router queue must shed at the door");
+    for t in busy {
+        assert_eq!(t.join().expect("busy client"), 200);
+    }
+    let shed = metrics_doc(addr)
+        .get("router")
+        .and_then(|r| r.get("shed"))
+        .and_then(Value::as_f64)
+        .expect("router.shed");
+    assert!(shed >= 1.0, "the door shed is counted, got {shed}");
+
+    router.stop();
+    for s in shards {
+        s.stop();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads one `Content-Length`-framed response off a persistent
+/// connection; `buf` carries bytes read past it.
+fn read_framed(stream: &mut TcpStream, buf: &mut Vec<u8>) -> (u16, Vec<(String, String)>, Vec<u8>) {
+    let mut chunk = [0u8; 4096];
+    let head_end = loop {
+        if let Some(pos) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos + 4;
+        }
+        let n = stream.read(&mut chunk).expect("recv head");
+        assert!(n > 0, "connection closed before a response head");
+        buf.extend_from_slice(&chunk[..n]);
+    };
+    let head = std::str::from_utf8(&buf[..head_end]).expect("utf8 head");
+    let mut lines = head.lines();
+    let status: u16 = lines.next().expect("status line")[9..12]
+        .parse()
+        .expect("numeric status");
+    let headers: Vec<(String, String)> = lines
+        .filter_map(|l| l.split_once(':'))
+        .map(|(k, v)| (k.to_ascii_lowercase(), v.trim().to_string()))
+        .collect();
+    let len: usize = header(&headers, "content-length")
+        .expect("content-length")
+        .parse()
+        .expect("numeric length");
+    while buf.len() < head_end + len {
+        let n = stream.read(&mut chunk).expect("recv body");
+        assert!(n > 0, "connection closed mid-body");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+    let body = buf[head_end..head_end + len].to_vec();
+    buf.drain(..head_end + len);
+    (status, headers, body)
+}
+
+/// The connection contract of the HTTP front end both tiers run: two
+/// pipelined `Connection: keep-alive` GETs on one socket come back as
+/// two complete responses, and a POST declaring a body over the 1 MiB
+/// cap is answered `413` + `Retry-After` — also when the client has
+/// already sent part of that body, which must be drained rather than
+/// reset away.
+fn check_front_end(addr: SocketAddr) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut pipelined = String::new();
+    for kind in ["eps", "tau"] {
+        pipelined.push_str(&format!(
+            "GET /tiles/crime/{kind}/0/0/0.png HTTP/1.1\r\nHost: kdv\r\n\
+             Connection: keep-alive\r\n\r\n"
+        ));
+    }
+    stream.write_all(pipelined.as_bytes()).expect("send");
+    let mut buf = Vec::new();
+    for kind in ["eps", "tau"] {
+        let (status, headers, body) = read_framed(&mut stream, &mut buf);
+        assert_eq!(status, 200, "{addr} {kind} tile");
+        assert_eq!(header(&headers, "connection"), Some("keep-alive"));
+        assert!(body.starts_with(b"\x89PNG"), "{addr} {kind}: not a PNG");
+    }
+    assert!(buf.is_empty(), "no bytes beyond the two responses");
+
+    let raw = format!(
+        "POST /datasets/crime/points HTTP/1.1\r\nHost: kdv\r\nContent-Length: {}\r\n\r\n{}",
+        2 << 20,
+        "x".repeat(16 << 10)
+    );
+    let (status, headers, _) = exchange(addr, raw);
+    assert_eq!(status, 413, "{addr}: oversized body");
+    assert_eq!(header(&headers, "retry-after"), Some("1"));
+}
+
+#[test]
+fn front_end_keeps_alive_and_refuses_oversized_bodies_on_both_tiers() {
+    let dir = temp_store("front");
+    let shards = start_shards(&dir, 1);
+    check_front_end(shards[0].local_addr());
+    let router = start_router(&shards, 64);
+    check_front_end(router.local_addr());
 
     router.stop();
     for s in shards {

@@ -15,15 +15,43 @@
 //! `Connection: close`, so simple read-to-EOF clients — curl scripts,
 //! the test suites, the benches — keep working unchanged. Pipelined
 //! bytes that arrive behind one request's body are carried over into
-//! the next [`read_request_from`] call on the same connection instead
-//! of being dropped.
+//! the next request's read on the same connection instead of being
+//! dropped.
+//!
+//! [`Frontend`] is the one connection loop both serving tiers (the
+//! shard's `TileServer` and the cluster router) run: an accept thread
+//! feeding a bounded queue that sheds `429` at the door, a fixed
+//! worker pool, the keep-alive loop, and the `400`/`413` answers to
+//! requests that do not parse. A tier plugs in as a [`Service`].
 
+use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Longest request head (request line + headers) accepted. Tile
 /// requests are tiny; anything bigger is garbage or abuse.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
+
+/// Per-connection socket timeouts: a stuck client costs a worker at
+/// most this long.
+pub const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a worker waits for the next request on a kept-alive
+/// connection before handing itself back to the pool. Short on
+/// purpose: an idle persistent connection pins a worker, and the
+/// router reconnects transparently when its pooled connection has
+/// been idled out.
+const KEEPALIVE_IDLE: Duration = Duration::from_secs(2);
+
+/// How long the door and the `413` path wait for request bytes the
+/// client already sent before answering: closing with unread data
+/// sends RST, and the client would see a reset instead of the answer.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(200);
 
 /// One parsed request: the request line plus (for methods that carry
 /// one) the body.
@@ -62,26 +90,35 @@ pub enum RequestError {
     },
 }
 
+impl RequestError {
+    /// The response a reject answers with: `400`, or `413` with
+    /// `Retry-After`.
+    pub fn response(&self) -> Response {
+        match self {
+            RequestError::Bad(message) => text_response(400, "Bad Request", message),
+            RequestError::TooLarge { declared, cap } => text_response(
+                413,
+                "Payload Too Large",
+                &format!("declared body of {declared} bytes exceeds the {cap}-byte cap"),
+            )
+            .header("Retry-After", "1"),
+        }
+    }
+}
+
 /// Reads and parses one request (head + body) from `stream`.
 ///
 /// `max_body` caps the accepted `Content-Length`; a declaration over
 /// it returns [`RequestError::TooLarge`] before any body byte is read.
 /// The outer `Err` is a transport failure (reset, timeout); the inner
 /// `Err` is a protocol-level rejection with its response status.
-pub fn read_request(
-    stream: &mut TcpStream,
-    max_body: u64,
-) -> io::Result<Result<Request, RequestError>> {
-    let mut carry = Vec::new();
-    read_request_from(stream, max_body, &mut carry)
-}
-
-/// [`read_request`] for persistent connections: `carry` holds bytes
-/// already read off the socket but not yet consumed (pipelined data
-/// behind the previous request's body). The buffer is drained as this
-/// request's head/body and refilled with whatever trails it, so one
-/// allocation serves every request on the connection.
-pub fn read_request_from(
+///
+/// `carry` holds bytes already read off the socket but not yet
+/// consumed (pipelined data behind the previous request's body on a
+/// persistent connection). The buffer is drained as this request's
+/// head/body and refilled with whatever trails it, so one allocation
+/// serves every request on the connection.
+fn read_request_from(
     stream: &mut TcpStream,
     max_body: u64,
     carry: &mut Vec<u8>,
@@ -280,6 +317,273 @@ pub fn text_response(status: u16, reason: &'static str, message: &str) -> Respon
     Response::new(status, reason).body("text/plain; charset=utf-8", message.as_bytes().to_vec())
 }
 
+/// Why a server (shard or router) failed to start.
+#[derive(Debug)]
+pub enum ServeError {
+    /// A configuration or dataset problem.
+    Config(String),
+    /// A socket-layer failure (bind, listen).
+    Io(io::Error),
+}
+
+impl fmt::Display for ServeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ServeError::Config(m) => write!(f, "configuration error: {m}"),
+            ServeError::Io(e) => write!(f, "socket error: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for ServeError {}
+
+impl From<io::Error> for ServeError {
+    fn from(e: io::Error) -> Self {
+        ServeError::Io(e)
+    }
+}
+
+/// What a serving tier plugs into the [`Frontend`]. The front end
+/// calls, per request: [`begin`](Service::begin), reads the request,
+/// [`respond`](Service::respond), writes the response (half-closing
+/// the socket when the connection ends), then
+/// [`finish`](Service::finish).
+pub trait Service: Send + Sync + 'static {
+    /// Per-request state carried from `begin` to `finish` (the shard's
+    /// trace; nothing for the router).
+    type Exchange;
+
+    /// The shutdown flag: once set, the accept thread exits, workers
+    /// finish their current request and close kept-alive connections.
+    fn shutdown(&self) -> &AtomicBool;
+
+    /// Counts a connection shed at the door with `429`.
+    fn shed(&self);
+
+    /// Opens a request that has waited since `accepted` (the accept,
+    /// or the first byte of a follow-up request on a kept-alive
+    /// connection); called just before the request is read.
+    fn begin(&self, accepted: Instant) -> Self::Exchange;
+
+    /// Answers a request, or a parse reject (whose standard answer is
+    /// [`RequestError::response`]). The front end sets the
+    /// `Connection` header. Takes the `Arc` so a handler can hand the
+    /// service to a thread it spawns (the shard's compactions).
+    fn respond(
+        self: &Arc<Self>,
+        exchange: &mut Self::Exchange,
+        request: Result<&Request, &RequestError>,
+    ) -> Response;
+
+    /// Closes the exchange after the response was written (`wrote`)
+    /// or failed to be. `request` is `None` for a parse reject.
+    fn finish(
+        &self,
+        exchange: Self::Exchange,
+        request: Option<&Request>,
+        response: &Response,
+        wrote: bool,
+    );
+}
+
+/// The running connection plumbing of one tier: listener, accept
+/// thread, bounded queue and worker pool (see [`Frontend::start`]).
+pub struct Frontend<S: Service> {
+    service: Arc<S>,
+    addr: SocketAddr,
+    accept: JoinHandle<()>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl<S: Service> Frontend<S> {
+    /// Binds `addr` and spawns the accept thread (`{tier}-accept`) and
+    /// `workers` worker threads (`{tier}-worker-{i}`). At most `queue`
+    /// accepted connections wait for a worker; the next one is
+    /// answered `429` + `Retry-After: 1` by the accept thread itself.
+    /// Request bodies over `max_body` bytes are refused with `413`.
+    pub fn start(
+        addr: &str,
+        tier: &str,
+        workers: usize,
+        queue: usize,
+        max_body: u64,
+        service: Arc<S>,
+    ) -> Result<Self, ServeError> {
+        if workers == 0 {
+            return Err(ServeError::Config("need at least one worker".into()));
+        }
+        if queue == 0 {
+            return Err(ServeError::Config("queue depth must be at least 1".into()));
+        }
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let (tx, rx) = sync_channel::<(TcpStream, Instant)>(queue);
+        let rx = Arc::new(Mutex::new(rx));
+        let workers = (0..workers)
+            .map(|i| {
+                let (service, rx) = (Arc::clone(&service), Arc::clone(&rx));
+                std::thread::Builder::new()
+                    .name(format!("{tier}-worker-{i}"))
+                    .spawn(move || worker_loop(&service, &rx, max_body, addr))
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        let accept = {
+            let service = Arc::clone(&service);
+            std::thread::Builder::new()
+                .name(format!("{tier}-accept"))
+                .spawn(move || accept_loop(&*service, &listener, tx))?
+        };
+        Ok(Self {
+            service,
+            addr,
+            accept,
+            workers,
+        })
+    }
+
+    /// The bound address (resolves port 0 to the actual port).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Blocks until shutdown (set by [`Frontend::stop`] or by the
+    /// service itself) has drained the accept thread and every worker.
+    pub fn join(self) {
+        let _ = self.accept.join();
+        for h in self.workers {
+            let _ = h.join();
+        }
+    }
+
+    /// Sets the shutdown flag, wakes the accept thread, and joins.
+    pub fn stop(self) {
+        self.service.shutdown().store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect(self.addr);
+        self.join();
+    }
+}
+
+fn accept_loop<S: Service>(
+    service: &S,
+    listener: &TcpListener,
+    tx: SyncSender<(TcpStream, Instant)>,
+) {
+    for stream in listener.incoming() {
+        if service.shutdown().load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(stream) = stream else {
+            continue;
+        };
+        let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+        // Nagle off: every response is written in one buffer, so
+        // delaying the final short segment for an ACK only adds
+        // latency — most visibly on the router's proxy path.
+        let _ = stream.set_nodelay(true);
+        // The accept timestamp rides along so a traced worker can
+        // attribute queue wait to a span whose origin is *here*.
+        match tx.try_send((stream, Instant::now())) {
+            Ok(()) => {}
+            Err(TrySendError::Full((mut stream, _))) => {
+                // Admission control: shed load at the door with a hint
+                // instead of queueing unboundedly.
+                service.shed();
+                let _ = stream.set_read_timeout(Some(DRAIN_TIMEOUT));
+                let mut scratch = [0u8; 1024];
+                let _ = stream.read(&mut scratch);
+                let resp = text_response(429, "Too Many Requests", "queue is full")
+                    .header("Retry-After", "1");
+                let _ = resp.write_to(&mut stream);
+            }
+            Err(TrySendError::Disconnected(_)) => break,
+        }
+    }
+    // Dropping `tx` here disconnects the channel; workers drain the
+    // queue and exit.
+}
+
+fn worker_loop<S: Service>(
+    service: &Arc<S>,
+    rx: &Mutex<Receiver<(TcpStream, Instant)>>,
+    max_body: u64,
+    local_addr: SocketAddr,
+) {
+    loop {
+        let next = rx.lock().expect("accept queue poisoned").recv();
+        let Ok((mut stream, mut accepted)) = next else {
+            break; // accept thread gone and queue drained
+        };
+        // The head/body read buffer persists across requests on the
+        // same connection (carrying any pipelined bytes with it), so a
+        // keep-alive proxy path pays one allocation per connection.
+        let mut carry = Vec::new();
+        while serve_request(service, &mut stream, accepted, max_body, &mut carry)
+            && !service.shutdown().load(Ordering::SeqCst)
+        {
+            // Between requests, wait for the next request's first byte
+            // under the (short) keep-alive idle timeout — *outside* any
+            // exchange, so idle time is never attributed to a request.
+            if carry.is_empty() {
+                let _ = stream.set_read_timeout(Some(KEEPALIVE_IDLE));
+                if !matches!(stream.peek(&mut [0u8; 1]), Ok(n) if n > 0) {
+                    break; // closed, reset, or idled out
+                }
+                let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+            }
+            accepted = Instant::now();
+        }
+        if service.shutdown().load(Ordering::SeqCst) {
+            // Wake the accept thread so shutdown is prompt.
+            let _ = TcpStream::connect(local_addr);
+        }
+    }
+}
+
+/// Serves one request off `stream`; returns whether the connection
+/// should be kept open for another.
+fn serve_request<S: Service>(
+    service: &Arc<S>,
+    stream: &mut TcpStream,
+    accepted: Instant,
+    max_body: u64,
+    carry: &mut Vec<u8>,
+) -> bool {
+    let mut exchange = service.begin(accepted);
+    let Ok(read) = read_request_from(stream, max_body, carry) else {
+        return false; // transport failure: nothing to answer
+    };
+    // Persistence is opt-in (explicit `Connection: keep-alive`), and a
+    // draining server closes regardless so shutdown never waits out an
+    // idle connection.
+    let keep = matches!(&read, Ok(request) if request.keep_alive)
+        && !service.shutdown().load(Ordering::SeqCst);
+    let response = service
+        .respond(&mut exchange, read.as_ref())
+        .keep_alive(keep);
+    if let Err(RequestError::TooLarge { .. }) = read {
+        // The body was never read, so the worker is free at once.
+        // Drain what the client already sent (bounded).
+        let _ = stream.set_read_timeout(Some(DRAIN_TIMEOUT));
+        let mut scratch = [0u8; 4096];
+        for _ in 0..16 {
+            match stream.read(&mut scratch) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
+    }
+    let wrote = response.write_to(stream).is_ok();
+    let keep = keep && wrote;
+    if !keep {
+        // Half-close before `finish`: the client's read-to-EOF
+        // completes without waiting on the service's bookkeeping.
+        let _ = stream.shutdown(Shutdown::Write);
+    }
+    service.finish(exchange, read.as_ref().ok(), &response, wrote);
+    keep
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +604,7 @@ mod tests {
             s
         });
         let (mut conn, _) = listener.accept().expect("accept");
-        let out = read_request(&mut conn, max_body);
+        let out = read_request_from(&mut conn, max_body, &mut Vec::new());
         drop(writer.join().expect("writer"));
         out
     }
@@ -386,7 +690,7 @@ mod tests {
             s
         });
         let (mut conn, _) = listener.accept().expect("accept");
-        let req = read_request(&mut conn, 1 << 20)
+        let req = read_request_from(&mut conn, 1 << 20, &mut Vec::new())
             .expect("io")
             .expect("parse");
         assert_eq!(req.body, b"ok");

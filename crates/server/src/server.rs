@@ -1,18 +1,16 @@
-//! The tile server: worker pool, admission control, routing.
+//! The tile server: admission control, routing, tracing.
 //!
 //! Architecture (one process, no async runtime):
 //!
-//! * an **accept thread** owns the `TcpListener`. Each accepted
-//!   connection is pushed onto a *bounded* queue; when the queue is
-//!   full the accept thread answers `429 Too Many Requests` with a
-//!   `Retry-After` hint itself rather than letting latency grow
-//!   without bound — load shedding at the door, not in the kitchen,
-//! * a fixed pool of **worker threads** pops connections, parses one
-//!   request, routes it, and closes the socket (`Connection: close` by
-//!   default; a client that sends an explicit `Connection: keep-alive`
-//!   — the cluster router's proxy path does — keeps the connection,
-//!   and the worker serves follow-up requests from the same read
-//!   buffer under a short idle timeout),
+//! * the connection plumbing is the shared [`Frontend`]: an **accept
+//!   thread** feeding a *bounded* queue that answers `429 Too Many
+//!   Requests` + `Retry-After` at the door when full — load shedding
+//!   at the door, not in the kitchen — and a fixed pool of **worker
+//!   threads** that serve one request per connection (`Connection:
+//!   close` by default; a client that sends an explicit `Connection:
+//!   keep-alive` — the cluster router's proxy path does — keeps the
+//!   connection under a short idle timeout). The shard plugs in as a
+//!   [`Service`]: its trace spans and its HTTP and ingest counters,
 //! * the dataset's kd-tree is built **once** at startup and shared
 //!   immutably (`Arc`); each request constructs its own cheap
 //!   [`RefineEvaluator`] over the shared tree,
@@ -36,12 +34,10 @@
 //! [`RenderBudget`]: kdv_core::engine::RenderBudget
 
 use std::collections::HashMap;
-use std::fmt;
 use std::io::{self, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,6 +51,7 @@ use kdv_index::KdTree;
 use kdv_store::{FsyncPolicy, WalOp};
 use kdv_telemetry::json::{self, Value};
 use kdv_telemetry::registry::SERVE_SCHEMA;
+use kdv_telemetry::trace::OpenSpan;
 use kdv_telemetry::{
     Declared, DepthProfile, Family, HttpCounters, IngestCounters, LogHistogram, PromWriter,
     PyramidCounters, Reading, RenderMetrics, Summary, TagValue, Trace, TraceBuilder, TraceId,
@@ -66,14 +63,15 @@ use kdv_viz::{png, ColorMap};
 
 use crate::cache::{TileCache, TileKey, OCCUPANCY};
 use crate::catalog::{finish_entry, Catalog, DatasetEntry, DatasetSource, RenderSettings};
-use crate::http::{read_request_from, text_response, Request, RequestError, Response};
+pub use crate::http::ServeError;
+use crate::http::{text_response, Frontend, Request, RequestError, Response, Service};
 use crate::ingest::{self, CommitError, DeltaView, IngestState};
 use crate::render::{pick_level, TilePlan, FULL_LEVEL};
 use crate::tile::{parse_tile_path, valid_dataset_name, TileAddr, TileKind};
 
-/// Per-connection socket timeouts: a stuck client costs a worker at
-/// most this long.
-const SOCKET_TIMEOUT: Duration = Duration::from_secs(5);
+/// Margin added around the data's bounding box for the level-0
+/// window (fraction of each axis span).
+const MARGIN_FRAC: f64 = 0.05;
 
 /// Longest `/debug/sleep/{ms}` pause honored.
 const MAX_DEBUG_SLEEP_MS: u64 = 10_000;
@@ -107,9 +105,6 @@ pub struct ServerConfig {
     pub cache_shards: usize,
     /// Per-request render budget recipe.
     pub policy: BudgetPolicy,
-    /// Margin added around the data's bounding box for the level-0
-    /// window (fraction of each axis span).
-    pub margin_frac: f64,
     /// Honor `GET /shutdown` (for CI and tests; off by default).
     pub allow_shutdown: bool,
     /// Honor `GET /debug/sleep/{ms}` (a testing aid that holds a
@@ -173,7 +168,6 @@ impl Default for ServerConfig {
             cache_bytes: 64 << 20,
             cache_shards: 8,
             policy: BudgetPolicy::unlimited(),
-            margin_frac: 0.05,
             allow_shutdown: false,
             debug_sleep: false,
             data_load_ms: 0,
@@ -221,38 +215,6 @@ impl StartupReport {
             ("warm_ms", json::num_u(self.warm_ms)),
             ("source", Value::Str(self.source.to_string())),
         ])
-    }
-}
-
-/// Why the server failed to start.
-#[derive(Debug)]
-pub enum ServeError {
-    /// A configuration or dataset problem.
-    Config(String),
-    /// A socket-layer failure (bind, listen).
-    Io(io::Error),
-}
-
-impl fmt::Display for ServeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ServeError::Config(m) => write!(f, "configuration error: {m}"),
-            ServeError::Io(e) => write!(f, "socket error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-impl From<io::Error> for ServeError {
-    fn from(e: io::Error) -> Self {
-        ServeError::Io(e)
-    }
-}
-
-impl From<KdvError> for ServeError {
-    fn from(e: KdvError) -> Self {
-        ServeError::Config(e.to_string())
     }
 }
 
@@ -335,20 +297,9 @@ struct RequestTrace {
     tb: TraceBuilder,
     cache: Option<&'static str>,
     degraded: bool,
-}
-
-impl RequestTrace {
-    fn new(inner: &Inner, accepted: Instant) -> Self {
-        Self {
-            tb: if inner.traces.is_some() {
-                TraceBuilder::with_origin(accepted)
-            } else {
-                TraceBuilder::off()
-            },
-            cache: None,
-            degraded: false,
-        }
-    }
+    /// The span that crosses a [`Service`] hook: `parse` from `begin`
+    /// to `respond`, then `write` from `respond` to `finish`.
+    open: Option<OpenSpan>,
 }
 
 /// Shared immutable server state plus the few mutable rendezvous
@@ -378,7 +329,6 @@ struct Inner {
     shutdown: AtomicBool,
     allow_shutdown: bool,
     debug_sleep: bool,
-    local_addr: SocketAddr,
     started: Instant,
     /// Completed-trace retention; `None` when tracing is disabled.
     traces: Option<TraceRing>,
@@ -398,8 +348,6 @@ struct Inner {
     ingest_counters: IngestCounters,
     /// WAL durability policy.
     fsync: FsyncPolicy,
-    /// Ingest body cap (bytes).
-    ingest_max_body: u64,
     /// Memtable backpressure threshold (points).
     memtable_points: usize,
     /// Memtable compaction threshold (points).
@@ -412,15 +360,13 @@ struct Inner {
 /// A running tile server (see [`TileServer::start`]).
 pub struct TileServer {
     inner: Arc<Inner>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    front: Frontend<Inner>,
 }
 
 impl TileServer {
     /// Validates the configuration, builds the kd-tree, sweeps the
-    /// density range for the shared color scale, binds the socket, and
-    /// spawns the accept thread plus `config.workers` render workers.
+    /// density range for the shared color scale, and starts the
+    /// [`Frontend`] with `config.workers` render workers.
     ///
     /// `points` should already carry their normalized weights (the CLI
     /// applies `scale_weights` before calling this); `kernel` is the
@@ -484,9 +430,6 @@ impl TileServer {
         startup: StartupReport,
         multi: bool,
     ) -> Result<Self, ServeError> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-
         // Process-wide SIMD kill switch: `--no-simd` forces every leaf
         // scan (including batched-tile finishing passes) onto the
         // bit-identical scalar path.
@@ -528,7 +471,6 @@ impl TileServer {
             shutdown: AtomicBool::new(false),
             allow_shutdown: config.allow_shutdown,
             debug_sleep: config.debug_sleep,
-            local_addr,
             started: Instant::now(),
             traces: trace_on
                 .then(|| TraceRing::new(config.trace_ring, config.slow_ms.saturating_mul(1_000))),
@@ -538,7 +480,6 @@ impl TileServer {
             ingest: Mutex::new(HashMap::new()),
             ingest_counters: IngestCounters::default(),
             fsync: config.fsync,
-            ingest_max_body: config.ingest_max_body,
             memtable_points: config.memtable_points,
             compact_points: config.compact_points,
             compactions: Mutex::new(Vec::new()),
@@ -560,39 +501,20 @@ impl TileServer {
                 })
                 .map_err(ServeError::Io)?;
         }
-
-        let (tx, rx) = sync_channel::<(TcpStream, Instant)>(config.queue);
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(config.workers);
-        for i in 0..config.workers {
-            let inner = Arc::clone(&inner);
-            let rx = Arc::clone(&rx);
-            let handle = std::thread::Builder::new()
-                .name(format!("kdv-serve-worker-{i}"))
-                .spawn(move || worker_loop(&inner, &rx))
-                .map_err(ServeError::Io)?;
-            workers.push(handle);
-        }
-
-        let accept = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("kdv-serve-accept".to_string())
-                .spawn(move || accept_loop(&inner, &listener, tx))
-                .map_err(ServeError::Io)?
-        };
-
-        Ok(Self {
-            inner,
-            addr: local_addr,
-            accept: Some(accept),
-            workers,
-        })
+        let front = Frontend::start(
+            &config.addr,
+            "kdv-serve",
+            config.workers,
+            config.queue,
+            config.ingest_max_body,
+            Arc::clone(&inner),
+        )?;
+        Ok(Self { inner, front })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Where this server's boot time went (also under `startup` in
@@ -613,14 +535,15 @@ impl TileServer {
 
     /// Blocks until the server shuts down (via [`TileServer::stop`]
     /// from another thread, or a `GET /shutdown` when enabled).
-    pub fn join(mut self) {
-        self.join_threads();
+    pub fn join(self) {
+        self.front.join();
+        drain(&self.inner);
     }
 
     /// Initiates shutdown and waits for every thread to exit.
-    pub fn stop(mut self) {
-        self.request_stop();
-        self.join_threads();
+    pub fn stop(self) {
+        self.front.stop();
+        drain(&self.inner);
     }
 
     /// Whether shutdown has been requested (a `/shutdown` hit, or
@@ -630,44 +553,30 @@ impl TileServer {
     pub fn is_shutdown(&self) -> bool {
         self.inner.shutdown.load(Ordering::SeqCst)
     }
+}
 
-    fn request_stop(&self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Unblock the accept thread's blocking `accept()`.
-        let _ = TcpStream::connect(self.addr);
+/// The rest of a stop once the worker pool is gone: compactions
+/// finish their snapshot swap before the server counts as stopped
+/// (tests copy the store directory right after `stop()` returns), and
+/// every live WAL is fsynced so nothing acknowledged (or even
+/// buffered) rides only in the page cache when the process exits.
+fn drain(inner: &Inner) {
+    let handles: Vec<JoinHandle<()>> = {
+        let mut guard = inner
+            .compactions
+            .lock()
+            .expect("compaction registry poisoned");
+        guard.drain(..).collect()
+    };
+    for h in handles {
+        let _ = h.join();
     }
-
-    fn join_threads(&mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // Compactions finish their snapshot swap before the process is
-        // considered stopped (tests copy the store directory right
-        // after `stop()` returns).
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self
-                .inner
-                .compactions
-                .lock()
-                .expect("compaction registry poisoned");
-            guard.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
-        // Graceful-drain durability: with the worker pool gone, fsync
-        // every live WAL so nothing acknowledged (or even buffered)
-        // rides only in the page cache when the process exits.
-        let states: Vec<Arc<IngestState>> = {
-            let guard = self.inner.ingest.lock().expect("ingest registry poisoned");
-            guard.values().cloned().collect()
-        };
-        for state in states {
-            let _ = state.sync_wal();
-        }
+    let states: Vec<Arc<IngestState>> = {
+        let guard = inner.ingest.lock().expect("ingest registry poisoned");
+        guard.values().cloned().collect()
+    };
+    for state in states {
+        let _ = state.sync_wal();
     }
 }
 
@@ -677,12 +586,6 @@ fn validate_config(config: &ServerConfig) -> Result<(), ServeError> {
             "tile size must be in [8, 1024], got {}",
             config.tile_size
         )));
-    }
-    if config.workers == 0 {
-        return Err(ServeError::Config("need at least one worker".into()));
-    }
-    if config.queue == 0 {
-        return Err(ServeError::Config("queue depth must be at least 1".into()));
     }
     if !(config.eps.is_finite() && config.eps > 0.0) {
         return Err(ServeError::Config(format!(
@@ -714,200 +617,96 @@ fn validate_config(config: &ServerConfig) -> Result<(), ServeError> {
 fn render_settings(config: &ServerConfig) -> RenderSettings {
     RenderSettings {
         tile_size: config.tile_size,
-        margin_frac: config.margin_frac,
+        margin_frac: MARGIN_FRAC,
         eps: config.eps,
     }
 }
 
-fn accept_loop(
-    inner: &Inner,
-    listener: &TcpListener,
-    tx: std::sync::mpsc::SyncSender<(TcpStream, Instant)>,
-) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                continue;
-            }
+impl Service for Inner {
+    type Exchange = RequestTrace;
+
+    fn shutdown(&self) -> &AtomicBool {
+        &self.shutdown
+    }
+
+    fn shed(&self) {
+        self.http.rejected();
+    }
+
+    fn begin(&self, accepted: Instant) -> RequestTrace {
+        let mut tb = if self.traces.is_some() {
+            TraceBuilder::with_origin(accepted)
+        } else {
+            TraceBuilder::off()
         };
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-        // Nagle off: every response is written in one buffer, so
-        // delaying the final short segment for an ACK only adds
-        // latency — most visibly on the router's proxy path.
-        let _ = stream.set_nodelay(true);
-        // The accept timestamp rides along so the worker can attribute
-        // queue wait to a span whose origin is *here*, not at dequeue.
-        match tx.try_send((stream, Instant::now())) {
-            Ok(()) => {}
-            Err(TrySendError::Full((mut stream, _))) => {
-                // Admission control: shed load at the door with a hint
-                // instead of queueing unboundedly. Drain the request
-                // bytes already in flight first — closing with unread
-                // data sends RST, and the client would see a reset
-                // instead of the 429.
-                inner.http.rejected();
-                let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                let mut scratch = [0u8; 1024];
-                let _ = io::Read::read(&mut stream, &mut scratch);
-                let resp = text_response(429, "Too Many Requests", "tile queue is full")
-                    .header("Retry-After", "1");
-                let _ = resp.write_to(&mut stream);
-            }
-            Err(TrySendError::Disconnected(_)) => break,
+        tb.span_between("queue", accepted, Instant::now());
+        let parse = tb.begin("parse");
+        RequestTrace {
+            tb,
+            cache: None,
+            degraded: false,
+            open: Some(parse),
         }
     }
-    // Dropping `tx` here disconnects the channel; workers drain the
-    // queue and exit.
-}
 
-fn worker_loop(inner: &Arc<Inner>, rx: &Mutex<Receiver<(TcpStream, Instant)>>) {
-    loop {
-        let stream = {
-            let guard = rx.lock().expect("accept queue poisoned");
-            guard.recv()
-        };
-        match stream {
-            Ok((stream, accepted)) => handle_connection(inner, stream, accepted),
-            Err(_) => break, // accept thread gone and queue drained
-        }
-    }
-}
-
-/// How long a worker waits for the next request on a kept-alive
-/// connection before handing itself back to the pool. Short on
-/// purpose: an idle persistent connection pins a worker, and the
-/// router reconnects transparently when its pooled connection has
-/// been idled out.
-const KEEPALIVE_IDLE: Duration = Duration::from_secs(2);
-
-fn handle_connection(inner: &Arc<Inner>, mut stream: TcpStream, accepted: Instant) {
-    // The head/body read buffer persists across requests on the same
-    // connection (carrying any pipelined bytes with it), so a
-    // keep-alive proxy path pays one allocation per connection, not
-    // one per tile.
-    let mut carry = Vec::new();
-    let mut accepted = accepted;
-    loop {
-        if !handle_request(inner, &mut stream, accepted, &mut carry) {
-            break;
-        }
-        if inner.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Between requests, wait for the next request's first byte
-        // under the (short) keep-alive idle timeout — *outside* any
-        // trace, so idle time on a persistent connection is never
-        // attributed to a request.
-        if carry.is_empty() {
-            let _ = stream.set_read_timeout(Some(KEEPALIVE_IDLE));
-            let mut first = [0u8; 1];
-            match stream.peek(&mut first) {
-                Ok(n) if n > 0 => {}
-                _ => break, // closed, reset, or idled out
-            }
-            let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-        }
-        accepted = Instant::now();
-    }
-    if inner.shutdown.load(Ordering::SeqCst) {
-        // Wake the accept thread so shutdown is prompt.
-        let _ = TcpStream::connect(inner.local_addr);
-    }
-}
-
-/// Serves one request off `stream`; returns whether the connection
-/// should be kept open for another.
-fn handle_request(
-    inner: &Arc<Inner>,
-    stream: &mut TcpStream,
-    accepted: Instant,
-    carry: &mut Vec<u8>,
-) -> bool {
-    let mut rt = RequestTrace::new(inner, accepted);
-    rt.tb.span_between("queue", accepted, Instant::now());
-    let parse = rt.tb.begin("parse");
-    let request = match read_request_from(stream, inner.ingest_max_body, carry) {
-        Ok(Ok(request)) => request,
-        Ok(Err(reject)) => {
+    fn respond(
+        self: &Arc<Self>,
+        rt: &mut RequestTrace,
+        request: Result<&Request, &RequestError>,
+    ) -> Response {
+        if let Some(parse) = rt.open.take() {
             rt.tb.end(parse);
-            let response = match reject {
-                RequestError::Bad(message) => {
-                    inner.http.bad_request();
-                    text_response(400, "Bad Request", &message)
-                }
-                RequestError::TooLarge { declared, cap } => {
-                    // Backpressure by refusal: the body was never read,
-                    // so the worker is free immediately. Drain what the
-                    // client already pipelined (bounded) so closing
-                    // with unread data doesn't RST away the response.
-                    // Counted as a shed/rejection (like the 429 paths),
-                    // not a 400: /metrics should separate client bugs
-                    // from backpressure.
-                    inner.ingest_counters.reject_too_large();
-                    inner.http.rejected();
-                    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-                    let mut scratch = [0u8; 4096];
-                    for _ in 0..16 {
-                        match io::Read::read(&mut *stream, &mut scratch) {
-                            Ok(0) | Err(_) => break,
-                            Ok(_) => {}
-                        }
-                    }
-                    text_response(
-                        413,
-                        "Payload Too Large",
-                        &format!("declared body of {declared} bytes exceeds the {cap}-byte cap"),
-                    )
-                    .header("Retry-After", "1")
-                }
-            };
-            let response = stamp_trace(&rt, response);
-            let _ = response.write_to(stream);
-            let _ = stream.shutdown(std::net::Shutdown::Write);
-            finish_trace(inner, rt, "", "", &response);
-            return false;
         }
-        Err(_) => return false, // transport failure: nothing to answer
-    };
-    rt.tb.end(parse);
-    // Adopt a forwarded trace ID (the cluster router sends one) so the
-    // shard's trace carries the same ID the client saw end to end.
-    if let Some(forwarded) = request.trace_id.as_deref().and_then(TraceId::from_hex) {
-        rt.tb.set_id(forwarded);
+        let request = match request {
+            Ok(request) => request,
+            Err(reject) => {
+                match reject {
+                    RequestError::Bad(_) => self.http.bad_request(),
+                    // Backpressure by refusal, counted as a shed (like
+                    // the 429 paths), not a 400: /metrics should
+                    // separate client bugs from backpressure.
+                    RequestError::TooLarge { .. } => {
+                        self.ingest_counters.reject_too_large();
+                        self.http.rejected();
+                    }
+                }
+                return stamp_trace(rt, reject.response());
+            }
+        };
+        // Adopt a forwarded trace ID (the cluster router sends one) so the
+        // shard's trace carries the same ID the client saw end to end.
+        if let Some(forwarded) = request.trace_id.as_deref().and_then(TraceId::from_hex) {
+            rt.tb.set_id(forwarded);
+        }
+        self.http.request();
+        let response = route(self, request, rt);
+        let response = stamp_trace(rt, response);
+        rt.open = Some(rt.tb.begin("write"));
+        response
     }
-    inner.http.request();
-    // Persistence is opt-in (explicit `Connection: keep-alive`), and a
-    // draining server closes regardless so shutdown never waits out an
-    // idle connection.
-    let keep = request.keep_alive && !inner.shutdown.load(Ordering::SeqCst);
-    let response = route(inner, &request, &mut rt).keep_alive(keep);
-    let response = stamp_trace(&rt, response);
-    let write = rt.tb.begin("write");
-    let wrote = response.write_to(stream).is_ok();
-    rt.tb.end_with(
-        write,
-        vec![("bytes", TagValue::U64(response.body_len() as u64))],
-    );
-    let keep = keep && wrote;
-    if !keep {
-        // Half-close before sealing the trace: the client's
-        // read-to-EOF completes without waiting on ring and histogram
-        // mutexes, so trace finalization is off the measured path.
-        let _ = stream.shutdown(std::net::Shutdown::Write);
+
+    fn finish(
+        &self,
+        mut rt: RequestTrace,
+        request: Option<&Request>,
+        response: &Response,
+        wrote: bool,
+    ) {
+        let Some(request) = request else {
+            finish_trace(self, rt, "", "", response);
+            return;
+        };
+        if let Some(write) = rt.open.take() {
+            rt.tb.end_with(
+                write,
+                vec![("bytes", TagValue::U64(response.body_len() as u64))],
+            );
+        }
+        if wrote {
+            self.http.sent(response.body_len() as u64);
+        }
+        finish_trace(self, rt, &request.method, &request.path, response);
     }
-    if wrote {
-        inner.http.sent(response.body_len() as u64);
-    }
-    finish_trace(inner, rt, &request.method, &request.path, &response);
-    keep
 }
 
 /// Echoes the trace ID on the outgoing response (every response, so a
@@ -930,6 +729,7 @@ fn finish_trace(inner: &Inner, rt: RequestTrace, method: &str, path: &str, respo
         tb,
         cache,
         degraded,
+        ..
     } = rt;
     let Some(trace) = tb.finish(TraceMeta {
         method: method.to_string(),
