@@ -43,10 +43,14 @@ impl FigureCtx {
         }
     }
 
-    /// Context with the smoke scale (used by integration tests).
+    /// Context with the smoke scale (used by tests), writing under a
+    /// per-process temporary directory: `cargo test` runs in the crate
+    /// directory, where `target/figures` holds the tracked quick-scale
+    /// artifacts.
     pub fn smoke() -> Self {
         Self {
             scale: RunScale::smoke(),
+            out_dir: std::env::temp_dir().join(format!("kdv-figures-{}", std::process::id())),
             ..Self::quick()
         }
     }

@@ -34,6 +34,11 @@ mod render;
 pub mod server;
 pub mod tile;
 
+/// The independent PNG decoder of `kdv-viz`'s round-trip tests.
+#[cfg(test)]
+#[path = "../../viz/tests/png_decode/mod.rs"]
+mod png_decode;
+
 pub use cache::{TileCache, TileKey};
 pub use catalog::{Catalog, DatasetEntry, DatasetSource};
 pub use server::{metric_tables, ServeError, ServerConfig, StartupReport, TileServer, STAGES};

@@ -1648,3 +1648,94 @@ fn metrics_prometheus(inner: &Inner) -> String {
     }
     w.finish()
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::png_decode::decode;
+    use kdv_core::bandwidth::scott_gamma;
+    use kdv_core::engine::{NoProbe, RenderBudget};
+    use kdv_core::raster::RasterSpec;
+    use kdv_core::threshold::estimate_levels;
+    use kdv_data::Dataset;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    /// The body of one `GET path` (answered with `Connection: close`).
+    fn get_body(addr: SocketAddr, path: &str) -> Vec<u8> {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(format!("GET {path} HTTP/1.1\r\nHost: kdv\r\n\r\n").as_bytes())
+            .expect("send request");
+        let mut raw = Vec::new();
+        stream.read_to_end(&mut raw).expect("read response");
+        let head = raw
+            .windows(4)
+            .position(|w| w == b"\r\n\r\n")
+            .expect("response has a head");
+        assert!(raw.starts_with(b"HTTP/1.1 200"), "{path}: not 200");
+        raw.split_off(head + 4)
+    }
+
+    /// Every ε and τ tile of a z0–3 sweep, fetched over HTTP, decodes
+    /// to exactly the image the server painted before encoding it.
+    #[test]
+    fn served_tiles_decode_to_the_painted_images_bit_for_bit() {
+        let mut points = Dataset::Crime.generate(2000, 5);
+        points.scale_weights(1.0 / points.len() as f64);
+        let kernel = Kernel::gaussian(scott_gamma(&points).gamma);
+        let tree = KdTree::build_default(&points);
+        let raster = RasterSpec::covering(&points, 32, 32, MARGIN_FRAC);
+        let tau = estimate_levels(&tree, kernel, &raster, 32, 32).tau(0.1);
+        let config = ServerConfig {
+            tile_size: 32,
+            max_z: 3,
+            eps: 0.2,
+            tau,
+            workers: 2,
+            ..ServerConfig::default()
+        };
+        let server = TileServer::start(config, &points, kernel).expect("start");
+        let inner = &server.inner;
+        let entry = inner.catalog.get(0).expect("the one dataset");
+        let mut kinds_seen = [0usize; 2];
+        for kind in [TileKind::Eps, TileKind::Tau] {
+            for z in 0..=3u8 {
+                for x in 0..1u32 << z {
+                    for y in 0..1u32 << z {
+                        let path = format!("/tiles/{}/{z}/{x}/{y}.png", kind.as_str());
+                        let served = decode(&get_body(server.local_addr(), &path))
+                            .unwrap_or_else(|e| panic!("{path}: {e}"));
+                        let raster = pyramid_raster(&entry.base, z, x, y).expect("in range");
+                        let plan =
+                            TilePlan::new(&entry, kind, None, inner.eps, inner.tau, &raster, None);
+                        let tile = plan
+                            .eval(
+                                inner.family,
+                                &raster,
+                                &mut RenderBudget::unlimited(),
+                                &mut NoProbe,
+                            )
+                            .expect("valid plan");
+                        let mut metrics = RenderMetrics::new();
+                        let painted = match kind {
+                            TileKind::Eps => {
+                                paint_eps_tile(&raster, &tile, &inner.cm, entry.scale, &mut metrics)
+                            }
+                            TileKind::Tau => {
+                                paint_tau_tile(&raster, &tile.classify(inner.tau), &mut metrics)
+                            }
+                        };
+                        assert!(served.matches(&painted.image), "{path}: pixels differ");
+                        kinds_seen[usize::from(served.color_type == 3)] += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            kinds_seen.iter().all(|&n| n > 0),
+            "the sweep covers both RGB and palette tiles: {kinds_seen:?}"
+        );
+        server.stop();
+    }
+}

@@ -233,6 +233,41 @@ fn cached_tau_tiles_are_stable_and_a_zoom_descent_serves_pngs() {
 }
 
 #[test]
+fn tiles_encode_to_the_same_bytes_on_every_server() {
+    // Two servers over the same data share no hash-map seeds, so a
+    // palette numbered in hash order would give different bytes on
+    // about half of the two-colour tiles of this z0–3 sweep; a cached
+    // re-fetch must return the rendered bytes too.
+    let f = fixture();
+    let a = TileServer::start(config(&f), &f.points, f.kernel).expect("start a");
+    let b = TileServer::start(config(&f), &f.points, f.kernel).expect("start b");
+    let mut palette_tiles = 0;
+    for kind in ["eps", "tau"] {
+        for z in 0..=3u32 {
+            for x in 0..1 << z {
+                for y in 0..1 << z {
+                    let path = format!("/tiles/{kind}/{z}/{x}/{y}.png");
+                    let (status, headers, first) = get(a.local_addr(), &path);
+                    assert_eq!(
+                        (status, header(&headers, "X-Kdv-Cache")),
+                        (200, Some("miss"))
+                    );
+                    let (_, _, other) = get(b.local_addr(), &path);
+                    assert!(first == other, "{path}: two servers, two encodings");
+                    let (_, headers, cached) = get(a.local_addr(), &path);
+                    assert_eq!(header(&headers, "X-Kdv-Cache"), Some("hit"));
+                    assert!(cached == first, "{path}: the cached body differs");
+                    palette_tiles += usize::from(first.windows(4).any(|w| w == b"PLTE"));
+                }
+            }
+        }
+    }
+    assert!(palette_tiles >= 40, "only {palette_tiles} palette tiles");
+    a.stop();
+    b.stop();
+}
+
+#[test]
 fn malformed_addresses_get_400_and_unknown_paths_404() {
     let f = fixture();
     let server = TileServer::start(config(&f), &f.points, f.kernel).expect("start");

@@ -57,6 +57,12 @@ impl RgbImage {
         self.data[i..i + 3].copy_from_slice(&rgb);
     }
 
+    /// Row-major RGB triples, row 0 first.
+    #[inline]
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.data
+    }
+
     /// Serializes to binary PPM (`P6`).
     pub fn to_ppm(&self) -> Vec<u8> {
         let mut out = format!("P6\n{} {}\n255\n", self.width, self.height).into_bytes();
