@@ -1,45 +1,34 @@
-//! Serving-latency baseline: cold vs. cached tile fetches, plus the
-//! snapshot cold-start comparison.
+//! The serving measurements only an in-process harness can take.
 //!
-//! Starts an in-process [`TileServer`] on an emulated crime dataset,
-//! fetches every εKDV tile at z ∈ {0, 2, 4} twice over real sockets —
-//! the first pass renders (cold), the second is served from the LRU
-//! cache — and writes per-level latency histograms (p50/p99/mean) to
-//! `BENCH_serve.json`. A second section times the cold start on a
-//! 1M-point synthetic dataset two ways: booting the server from CSV
-//! (`cold_start_ms_build`) versus from a KDVS snapshot catalog
-//! (`cold_start_ms_load`), with the bare index-acquisition cost
-//! (`index_ms_*`) and the first-tile latency of each serving mode
-//! reported alongside. A third section measures the request-tracing
-//! tax on cached tiles (tracing off vs. on, same warmed level) so the
-//! <5% cached-p99 overhead contract stays pinned in the sidecar. A
-//! fourth section benches the cluster tier: cold-pyramid and cached
-//! throughput behind the router at 1/2/4 shards, aggregate-cache
-//! scaling under a deliberately tight per-shard budget, and the
-//! router's proxy overhead on cached tiles. A fifth section proves
-//! the coreset-pyramid claim: z0–z4 cold tiles on the 1M-point
-//! dataset served from a certified ladder vs. the full index at
-//! identical ε, with a 20k-point full-index baseline as the
-//! "small-dataset cost" yardstick.
-//! Later PRs diff this sidecar to catch serving regressions.
+//! End-to-end serving numbers (tile latency and throughput through real
+//! `kdv serve` / `kdv cluster` processes, checked against EXACT, with
+//! the per-layer split) come from `perfbench/`, recorded as the
+//! `perfbench` section of `BENCH_serve.json` by
+//! `.github/perfbench-record.py`. This binary writes the other sections
+//! of that file and carries the `perfbench` one over unchanged, so
+//! every section has one producer:
+//!
+//! * `host` — core count, SIMD lanes and a `single_core` flag, once for
+//!   the whole file: the numbers below mean little without them;
+//! * `cold_path` — the {scalar, SIMD} × {per-pixel, batched} engine
+//!   grid on cold tiles, the figure the CI perf smoke gates;
+//! * `cold_start` — booting from CSV vs from a KDVS snapshot;
+//! * `ingest.modes` — durable-ack latency per fsync policy and the WAL
+//!   replay cost;
+//! * `cluster.cache_pressure` — aggregate cache capacity behind the
+//!   router at 1/2/4 shards under a per-shard budget that one shard
+//!   cannot fit;
+//! * `pyramid` — cold tiles from the certified coreset ladder vs the
+//!   full index on 1M points.
 //!
 //! ```text
 //! cargo run --release -p kdv-bench --bin serve_bench [-- out.json]
 //! ```
 //!
-//! A sixth section isolates the cold-render hot path itself: every
-//! εKDV and τKDV tile at z ∈ {0, 2, 4} rendered in-process once per
-//! engine mode — {scalar, SIMD} × {per-pixel, tile-batched} — so the
-//! sidecar pins the per-mode cold p99 and the speedups the perf work
-//! claims, together with the host's core count and SIMD capability
-//! (the numbers are meaningless without them).
-//!
-//! Set `KDV_BENCH_COLD_POINTS` to shrink the cold-start dataset for
-//! quick local runs (the committed sidecar uses the full 1M). Set
-//! `KDV_BENCH_FAST=1` to run only the cached-level and cold-path
-//! sections — the CI perf smoke uses this to check the cold-tile p99
-//! against the committed sidecar without paying for the 1M-point
-//! sections.
+//! Set `KDV_BENCH_COLD_POINTS` to shrink the 1M-point datasets for
+//! quick local runs. Set `KDV_BENCH_FAST=1` to write only `host` and
+//! `cold_path`: the CI perf smoke checks the cold-tile p99 speedup
+//! against the committed file without paying for the other sections.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -71,11 +60,19 @@ const SEED: u64 = 11;
 const TILE_SIZE: u32 = 128;
 const LEVELS: [u8; 3] = [0, 2, 4];
 
-fn fetch(addr: SocketAddr, path: &str) -> (u16, Vec<u8>) {
+/// One request on a fresh connection: status code, response head and
+/// body. A non-empty `body` is sent as a POST.
+fn request(addr: SocketAddr, path: &str, body: &str) -> (u16, String, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes())
-        .expect("request");
+    let head = if body.is_empty() {
+        format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n")
+    } else {
+        format!(
+            "POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    };
+    stream.write_all(head.as_bytes()).expect("request");
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw).expect("response");
     let head_end = raw
@@ -89,7 +86,13 @@ fn fetch(addr: SocketAddr, path: &str) -> (u16, Vec<u8>) {
         .expect("status code")
         .parse()
         .expect("numeric status");
-    (status, raw[head_end + 4..].to_vec())
+    (status, head.to_string(), raw[head_end + 4..].to_vec())
+}
+
+/// A GET's status and body.
+fn fetch(addr: SocketAddr, path: &str) -> (u16, Vec<u8>) {
+    let (status, _, body) = request(addr, path, "");
+    (status, body)
 }
 
 fn hist_json(h: &LogHistogram) -> Value {
@@ -208,114 +211,11 @@ fn cold_start(tmp: &Path) -> Value {
     ])
 }
 
-/// The tracing tax on the hot path, measured where it matters: cached
-/// tiles, where per-request work is a hash lookup plus a socket write
-/// and any fixed overhead is proportionally largest. Two identical
-/// servers — tracing off vs. on — serve the same warmed z=2 level;
-/// the sidecar records both distributions and the p50/p99 deltas. The
-/// serving contract (ISSUE: observability) allows cached p99 to
-/// regress at most 5% with tracing enabled.
-fn trace_overhead() -> Value {
-    const ROUNDS: usize = 64;
-    const Z: u32 = 2;
-    let mut points = Dataset::Crime.generate(POINTS, SEED);
-    points.scale_weights(1.0 / points.len() as f64);
-    let kernel = Kernel::gaussian(scott_gamma(&points).gamma);
-
-    // Both servers live at once, samples interleaved per tile, so
-    // scheduler and allocator drift hits both modes identically: any
-    // consistent gap is the tracing tax, not warmup order.
-    let servers: Vec<TileServer> = [false, true]
-        .into_iter()
-        .map(|trace| {
-            let config = ServerConfig {
-                tile_size: TILE_SIZE,
-                max_z: Z as u8,
-                eps: 0.1,
-                workers: 4,
-                trace,
-                ..ServerConfig::default()
-            };
-            TileServer::start(config, &points, kernel).expect("server start")
-        })
-        .collect();
-    let mut hists = [LogHistogram::new(), LogHistogram::new()];
-    for round in 0..=ROUNDS {
-        for x in 0..1u32 << Z {
-            for y in 0..1u32 << Z {
-                let path = format!("/tiles/eps/{Z}/{x}/{y}.png");
-                for (slot, server) in servers.iter().enumerate() {
-                    let start = Instant::now();
-                    let (status, _) = fetch(server.local_addr(), &path);
-                    let ns = start.elapsed().as_nanos() as u64;
-                    assert_eq!(status, 200, "{path} (traced={})", slot == 1);
-                    if round > 0 {
-                        // Round 0 renders; only cached fetches count.
-                        hists[slot].record(ns);
-                    }
-                }
-            }
-        }
-    }
-    for server in servers {
-        server.stop();
-    }
-
-    let pct = |on: f64, off: f64| (on - off) / off * 100.0;
-    let mean_pct = pct(hists[1].mean(), hists[0].mean());
-    let p50_pct = pct(
-        hists[1].quantile_le(0.5) as f64,
-        hists[0].quantile_le(0.5) as f64,
-    );
-    let p99_pct = pct(
-        hists[1].quantile_le(0.99) as f64,
-        hists[0].quantile_le(0.99) as f64,
-    );
-    println!(
-        "cached-tile tracing overhead: mean {:+.1}% (exact), p50 {:+.1}%, p99 {:+.1}% \
-         ({} samples per mode; quantiles carry ≤6.25% bucket error)",
-        mean_pct,
-        p50_pct,
-        p99_pct,
-        ROUNDS * (1 << Z) * (1 << Z),
-    );
-    Value::obj(vec![
-        ("untraced", hist_json(&hists[0])),
-        ("traced", hist_json(&hists[1])),
-        ("mean_overhead_pct", json::num_f(mean_pct)),
-        ("p50_overhead_pct", json::num_f(p50_pct)),
-        ("p99_overhead_pct", json::num_f(p99_pct)),
-    ])
-}
-
-fn post(addr: SocketAddr, path: &str, body: &str) -> u16 {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(
-            format!(
-                "POST {path} HTTP/1.1\r\nHost: bench\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .expect("request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("response");
-    std::str::from_utf8(&raw)
-        .expect("UTF-8 head")
-        .split(' ')
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status")
-}
-
-/// Streaming-ingest latency: durable-ack distribution under each
+/// Streaming-ingest acks: the durable-ack distribution under each
 /// fsync policy (four concurrent writers, so `batch` group commit has
-/// something to amortize over), tile latency while a write storm
-/// churns compactions underneath the readers, and the WAL replay cost
-/// a crash recovery pays, normalized per MiB.
-fn ingest_bench(tmp: &Path) -> Value {
+/// something to amortize over), and the WAL replay cost a crash
+/// recovery pays, normalized per MiB.
+fn ingest_modes(tmp: &Path) -> Value {
     const WRITERS: usize = 4;
     const WRITES: usize = 150; // per writer, per mode
     let mut base = Dataset::Crime.generate(POINTS / 4, SEED);
@@ -324,30 +224,6 @@ fn ingest_bench(tmp: &Path) -> Value {
     let tree = KdTree::build_default(&base);
     let anchor = base.point(10);
     let (ax, ay) = (anchor[0], anchor[1]);
-
-    let spawn_writers = |addr: SocketAddr, writes: usize| {
-        let hist = std::sync::Arc::new(std::sync::Mutex::new(LogHistogram::new()));
-        let handles: Vec<_> = (0..WRITERS)
-            .map(|w| {
-                let hist = std::sync::Arc::clone(&hist);
-                std::thread::spawn(move || {
-                    for i in 0..writes {
-                        let body = format!(
-                            "{{\"append\":[[{},{},0.0001]]}}",
-                            ax + 0.001 * (w * writes + i) as f64,
-                            ay
-                        );
-                        let start = Instant::now();
-                        let status = post(addr, "/datasets/crime/points", &body);
-                        let ns = start.elapsed().as_nanos() as u64;
-                        assert_eq!(status, 200, "ingest ack");
-                        hist.lock().expect("ack histogram").record(ns);
-                    }
-                })
-            })
-            .collect();
-        (hist, handles)
-    };
 
     let mut modes = Vec::new();
     for (name, fsync) in [("every", FsyncPolicy::Every), ("batch", FsyncPolicy::Batch)] {
@@ -362,18 +238,37 @@ fn ingest_bench(tmp: &Path) -> Value {
             eps: 0.2,
             workers: WRITERS + 1,
             fsync,
-            // Acks only in this section: keep compaction out of it.
+            // Acks only: keep compaction out of it.
             memtable_points: 1 << 16,
             compact_points: 1 << 16,
             ..ServerConfig::default()
         };
         let server = TileServer::start_with_store(config, &dir).expect("server start (ingest)");
-        let (hist, handles) = spawn_writers(server.local_addr(), WRITES);
-        for h in handles {
-            h.join().expect("writer thread");
+        let addr = server.local_addr();
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|w| {
+                std::thread::spawn(move || {
+                    let mut hist = LogHistogram::new();
+                    for i in 0..WRITES {
+                        let body = format!(
+                            "{{\"append\":[[{},{},0.0001]]}}",
+                            ax + 0.001 * (w * WRITES + i) as f64,
+                            ay
+                        );
+                        let start = Instant::now();
+                        let (status, _, _) = request(addr, "/datasets/crime/points", &body);
+                        hist.record(start.elapsed().as_nanos() as u64);
+                        assert_eq!(status, 200, "ingest ack");
+                    }
+                    hist
+                })
+            })
+            .collect();
+        let mut hist = LogHistogram::new();
+        for h in writers {
+            hist.merge(&h.join().expect("writer thread"));
         }
         server.stop();
-        let hist = hist.lock().expect("ack histogram");
 
         // Crash-recovery tax: replay the WAL this storm left behind.
         let wal_path = dir.join("crime.wal");
@@ -399,61 +294,7 @@ fn ingest_bench(tmp: &Path) -> Value {
         ]));
     }
 
-    // Reads under churn: a batch-mode write storm with an aggressive
-    // compaction threshold, while a reader hammers the warmed z=1
-    // level. Tile latency here pays delta merges, cache invalidation,
-    // and base swaps — the worst sustained case for a reader.
-    let dir = tmp.join("ingest-churn");
-    std::fs::create_dir_all(&dir).expect("mkdir churn store");
-    SnapshotWriter::new(&tree, kernel)
-        .write_to(dir.join("crime.kdvs"))
-        .expect("write snapshot");
-    let config = ServerConfig {
-        tile_size: 64,
-        max_z: 2,
-        eps: 0.2,
-        workers: WRITERS + 2,
-        fsync: FsyncPolicy::Batch,
-        compact_points: 128,
-        ..ServerConfig::default()
-    };
-    let server = TileServer::start_with_store(config, &dir).expect("server start (churn)");
-    let addr = server.local_addr();
-    for x in 0..2u32 {
-        for y in 0..2u32 {
-            let (status, _) = fetch(addr, &format!("/tiles/crime/eps/1/{x}/{y}.png"));
-            assert_eq!(status, 200, "warm tile");
-        }
-    }
-    let (_, writers) = spawn_writers(addr, 1500);
-    let mut tiles = LogHistogram::new();
-    let mut writers_done = false;
-    while !writers_done {
-        for x in 0..2u32 {
-            for y in 0..2u32 {
-                let path = format!("/tiles/crime/eps/1/{x}/{y}.png");
-                let start = Instant::now();
-                let (status, _) = fetch(addr, &path);
-                tiles.record(start.elapsed().as_nanos() as u64);
-                assert_eq!(status, 200, "{path} under churn");
-            }
-        }
-        writers_done = writers.iter().all(|h| h.is_finished());
-    }
-    for h in writers {
-        h.join().expect("writer thread");
-    }
-    server.stop();
-    println!(
-        "tiles under ingest+compaction churn: p50 {:.2} ms, p99 {:.2} ms ({} fetches)",
-        tiles.quantile_le(0.5) as f64 / 1e6,
-        tiles.quantile_le(0.99) as f64 / 1e6,
-        tiles.count(),
-    );
-    Value::obj(vec![
-        ("modes", Value::Arr(modes)),
-        ("tile_under_churn", hist_json(&tiles)),
-    ])
+    Value::obj(vec![("modes", Value::Arr(modes))])
 }
 
 /// Concurrent pyramid sweep through `addr`: `clients` threads drain a
@@ -496,28 +337,15 @@ fn sweep(
     (started.elapsed().as_secs_f64(), hist, bytes)
 }
 
-/// Scale-out: the same 20k crime store behind a router with 1, 2, and
-/// 4 shards.
-///
-/// Three measurements per fleet size:
-///
-/// * `cold` — full z≤3 εKDV pyramid, every tile rendered once. This
-///   is CPU-bound, so the scaling it shows is bounded by the host's
-///   core count (`host_cores` is recorded alongside: on a 1-core box
-///   the expected scaling is ~1×, and the number is still worth
-///   pinning to catch router-layer regressions).
-/// * `cached` — the same sweep warm: every tile a shard-cache hit,
-///   measuring the proxy path itself under concurrency.
-/// * `cache_pressure` — the capacity win that scales on any host: the
-///   per-shard cache budget is set to ~60% of the pyramid's bytes, so
-///   one shard thrashes its LRU on every sweep while two or more hold
-///   the whole pyramid in aggregate (rendezvous partitioning means no
-///   tile is cached twice). Steady-state sweep throughput is the
-///   metric the 1→2 shard scaling floor is checked against.
-///
-/// `router_overhead` pins the proxy tax: cached-tile p50 direct to a
-/// shard vs. through the router (target: ≤ 1 ms added).
-fn cluster_bench(tmp: &Path) -> Value {
+/// Aggregate cache capacity behind the router: the same 20k crime
+/// store at 1, 2 and 4 shards, with each shard's cache budget set to
+/// ~60% of the bytes of the z≤3 εKDV pyramid. One shard thrashes its
+/// LRU on every sweep, while two or more hold the whole pyramid between
+/// them (rendezvous partitioning caches no tile twice). A sweep through
+/// a fleet with room to spare measures those bytes first. The metric is
+/// steady-state sweep throughput: the mean over three sweeps after a
+/// cold fill. The win is capacity, not cores, so it shows on any host.
+fn cache_pressure(tmp: &Path) -> Value {
     const MAX_Z: u8 = 3;
     const CLIENTS: usize = 4;
     const FLEETS: [usize; 3] = [1, 2, 4];
@@ -546,7 +374,8 @@ fn cluster_bench(tmp: &Path) -> Value {
     let paths = std::sync::Arc::new(paths);
     let tiles = paths.len() as f64;
 
-    let start_fleet = |n: usize, cache_bytes: usize| -> (Vec<TileServer>, Router) {
+    // Runs `f` against the router of a fresh fleet, then stops it.
+    let with_fleet = |n: usize, cache_bytes: usize, f: &mut dyn FnMut(SocketAddr)| {
         let shards: Vec<TileServer> = (0..n)
             .map(|_| {
                 let config = ServerConfig {
@@ -566,186 +395,56 @@ fn cluster_bench(tmp: &Path) -> Value {
             ..RouterConfig::default()
         })
         .expect("start router");
-        (shards, router)
+        f(router.local_addr());
+        router.stop();
+        for s in shards {
+            s.stop();
+        }
     };
 
+    let mut pyramid_bytes = 0;
+    with_fleet(1, 64 << 20, &mut |addr| {
+        pyramid_bytes = sweep(addr, &paths, CLIENTS).2
+    });
+    let budget = pyramid_bytes as usize * 6 / 10;
     let mut fleets = Vec::new();
-    let mut cold_rates = Vec::new();
-    let mut pyramid_bytes = 0u64;
+    let mut rates = Vec::new();
     for n in FLEETS {
-        let (shards, router) = start_fleet(n, 64 << 20);
-        let addr = router.local_addr();
-        let (cold_secs, cold_hist, bytes) = sweep(addr, &paths, CLIENTS);
-        pyramid_bytes = bytes;
-        let (warm_secs, warm_hist, _) = sweep(addr, &paths, CLIENTS);
-        let cold_rate = tiles / cold_secs;
-        cold_rates.push(cold_rate);
-        println!(
-            "cluster {n} shard(s): cold {cold_rate:.1} tiles/s (p50 {:.2} ms, p99 {:.2} ms); \
-             cached {:.0} tiles/s (p50 {:.3} ms, p99 {:.3} ms)",
-            cold_hist.quantile_le(0.5) as f64 / 1e6,
-            cold_hist.quantile_le(0.99) as f64 / 1e6,
-            tiles / warm_secs,
-            warm_hist.quantile_le(0.5) as f64 / 1e6,
-            warm_hist.quantile_le(0.99) as f64 / 1e6,
-        );
-        fleets.push(Value::obj(vec![
-            ("shards", json::num_u(n as u64)),
-            ("cold_tiles_per_s", json::num_f(cold_rate)),
-            ("cold", hist_json(&cold_hist)),
-            ("cached_tiles_per_s", json::num_f(tiles / warm_secs)),
-            ("cached", hist_json(&warm_hist)),
-        ]));
-        router.stop();
-        for s in shards {
-            s.stop();
-        }
+        with_fleet(n, budget, &mut |addr| {
+            let _ = sweep(addr, &paths, CLIENTS); // cold fill
+            let mut secs = 0.0;
+            let mut hist = LogHistogram::new();
+            for _ in 0..3 {
+                let (s, h, _) = sweep(addr, &paths, CLIENTS);
+                secs += s;
+                hist.merge(&h);
+            }
+            let rate = 3.0 * tiles / secs;
+            rates.push(rate);
+            println!(
+                "cache pressure ({budget} of {pyramid_bytes} pyramid bytes per shard), \
+                 {n} shard(s): {rate:.0} tiles/s (p50 {:.3} ms, p99 {:.2} ms)",
+                hist.quantile_le(0.5) as f64 / 1e6,
+                hist.quantile_le(0.99) as f64 / 1e6,
+            );
+            fleets.push(Value::obj(vec![
+                ("shards", json::num_u(n as u64)),
+                ("tiles_per_s", json::num_f(rate)),
+                ("tile", hist_json(&hist)),
+            ]));
+        });
     }
 
-    // Aggregate-cache capacity: per-shard budget ~60% of the pyramid,
-    // so only fleets of ≥ 2 shards hold it all. Steady state = the
-    // mean of three post-cold sweeps.
-    let budget = (pyramid_bytes as usize * 6 / 10).max(1 << 16);
-    let mut pressure = Vec::new();
-    let mut pressure_rates = Vec::new();
-    for n in FLEETS {
-        let (shards, router) = start_fleet(n, budget);
-        let addr = router.local_addr();
-        let _ = sweep(addr, &paths, CLIENTS); // cold fill
-        let mut secs = 0.0;
-        let mut hist = LogHistogram::new();
-        for _ in 0..3 {
-            let (s, h, _) = sweep(addr, &paths, CLIENTS);
-            secs += s;
-            hist.merge(&h);
-        }
-        let rate = 3.0 * tiles / secs;
-        pressure_rates.push(rate);
-        println!(
-            "cache pressure ({} byte budget/shard), {n} shard(s): {rate:.0} tiles/s \
-             (p50 {:.3} ms, p99 {:.2} ms)",
-            budget,
-            hist.quantile_le(0.5) as f64 / 1e6,
-            hist.quantile_le(0.99) as f64 / 1e6,
-        );
-        pressure.push(Value::obj(vec![
-            ("shards", json::num_u(n as u64)),
-            ("tiles_per_s", json::num_f(rate)),
-            ("tile", hist_json(&hist)),
-        ]));
-        router.stop();
-        for s in shards {
-            s.stop();
-        }
-    }
-
-    // Proxy tax on cached tiles: one shard, warm z=3 level, p50 direct
-    // vs. through the router.
-    let (shards, router) = start_fleet(1, 64 << 20);
-    let shard_addr = shards[0].local_addr();
-    let routed_addr = router.local_addr();
-    let z3: Vec<&String> = paths.iter().filter(|p| p.contains("/3/")).collect();
-    for path in &z3 {
-        let (status, _) = fetch(shard_addr, path);
-        assert_eq!(status, 200, "warm {path}");
-    }
-    let mut direct = LogHistogram::new();
-    let mut routed = LogHistogram::new();
-    for _ in 0..8 {
-        for path in &z3 {
-            let start = Instant::now();
-            let (status, _) = fetch(shard_addr, path);
-            direct.record(start.elapsed().as_nanos() as u64);
-            assert_eq!(status, 200);
-            let start = Instant::now();
-            let (status, _) = fetch(routed_addr, path);
-            routed.record(start.elapsed().as_nanos() as u64);
-            assert_eq!(status, 200);
-        }
-    }
-    router.stop();
-    for s in shards {
-        s.stop();
-    }
-    let direct_p50_us = direct.quantile_le(0.5) as f64 / 1e3;
-    let routed_p50_us = routed.quantile_le(0.5) as f64 / 1e3;
-    println!(
-        "router proxy overhead on cached tiles: p50 {direct_p50_us:.0} µs direct \
-         → {routed_p50_us:.0} µs routed (+{:.0} µs)",
-        routed_p50_us - direct_p50_us
-    );
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     Value::obj(vec![
-        ("host_cores", json::num_u(cores as u64)),
         ("max_z", json::num_u(MAX_Z as u64)),
         ("tiles", json::num_u(paths.len() as u64)),
         ("clients", json::num_u(CLIENTS as u64)),
+        ("budget_bytes_per_shard", json::num_u(budget as u64)),
+        ("pyramid_bytes", json::num_u(pyramid_bytes)),
         ("fleets", Value::Arr(fleets)),
-        (
-            "cold_scaling_1_to_2",
-            json::num_f(cold_rates[1] / cold_rates[0]),
-        ),
-        (
-            "cold_scaling_1_to_4",
-            json::num_f(cold_rates[2] / cold_rates[0]),
-        ),
-        (
-            "cache_pressure",
-            Value::obj(vec![
-                ("budget_bytes_per_shard", json::num_u(budget as u64)),
-                ("pyramid_bytes", json::num_u(pyramid_bytes)),
-                ("fleets", Value::Arr(pressure)),
-                (
-                    "scaling_1_to_2",
-                    json::num_f(pressure_rates[1] / pressure_rates[0]),
-                ),
-                (
-                    "scaling_1_to_4",
-                    json::num_f(pressure_rates[2] / pressure_rates[0]),
-                ),
-            ]),
-        ),
-        (
-            "router_overhead",
-            Value::obj(vec![
-                ("direct", hist_json(&direct)),
-                ("routed", hist_json(&routed)),
-                ("direct_p50_us", json::num_f(direct_p50_us)),
-                ("routed_p50_us", json::num_f(routed_p50_us)),
-                ("added_p50_us", json::num_f(routed_p50_us - direct_p50_us)),
-            ]),
-        ),
+        ("scaling_1_to_2", json::num_f(rates[1] / rates[0])),
+        ("scaling_1_to_4", json::num_f(rates[2] / rates[0])),
     ])
-}
-
-/// One GET that also surfaces the `X-Kdv-Level` header, so the sweep
-/// can prove which index actually answered.
-fn fetch_level(addr: SocketAddr, path: &str) -> (u16, Option<String>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: bench\r\n\r\n").as_bytes())
-        .expect("request");
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("response");
-    let head_end = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("response head");
-    let head = std::str::from_utf8(&raw[..head_end]).expect("UTF-8 head");
-    let status: u16 = head
-        .split(' ')
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let level = head.lines().find_map(|l| {
-        let (name, value) = l.split_once(':')?;
-        name.trim()
-            .eq_ignore_ascii_case("x-kdv-level")
-            .then(|| value.trim().to_string())
-    });
-    (status, level, raw[head_end + 4..].to_vec())
 }
 
 /// The planet-scale claim, measured: z0–z4 cold εKDV tiles on the
@@ -856,13 +555,21 @@ fn pyramid_bench(tmp: &Path) -> Value {
                 let path = format!("/tiles/crime/eps/{z}/{x}/{y}.png");
                 for (slot, (name, server)) in servers.iter().enumerate() {
                     let start = Instant::now();
-                    let (status, lvl, body) = fetch_level(server.local_addr(), &path);
+                    let (status, head, body) = request(server.local_addr(), &path, "");
                     let ns = start.elapsed().as_nanos() as u64;
                     assert_eq!(status, 200, "{name} {path}");
                     assert!(body.starts_with(b"\x89PNG"), "{name} {path}: not a PNG");
                     hists[slot].record(ns);
                     if slot == 0 {
-                        let lvl = lvl.expect("level header");
+                        let lvl = head
+                            .lines()
+                            .find_map(|l| {
+                                let (name, value) = l.split_once(':')?;
+                                name.trim()
+                                    .eq_ignore_ascii_case("x-kdv-level")
+                                    .then(|| value.trim().to_string())
+                            })
+                            .expect("level header");
                         assert_ne!(lvl, "full", "{path}: the picker must admit a level");
                         level = Some(lvl);
                     }
@@ -954,9 +661,8 @@ fn pyramid_bench(tmp: &Path) -> Value {
 /// The headline `p99_speedup_batched` (scalar per-pixel p99 over SIMD
 /// batched p99) is taken on the aggregate z ≤ 4 population, with
 /// per-zoom splits alongside; `p99_speedup_simd_batched` isolates what
-/// SIMD adds on the batched path. `host_cores` and the SIMD capability
-/// fields are recorded because the absolute numbers (and the SIMD
-/// columns' meaning) depend on them.
+/// SIMD adds on the batched path. The file's `host` block gives the
+/// core count and SIMD lanes the numbers depend on.
 fn cold_path() -> Value {
     let mut points = Dataset::Crime.generate(POINTS, SEED);
     points.scale_weights(1.0 / points.len() as f64);
@@ -1077,34 +783,22 @@ fn cold_path() -> Value {
     let min_speedup = speedups.iter().cloned().fold(f64::INFINITY, f64::min);
     let agg_speedup = p99(&all[BASELINE]) / p99(&all[BEST]);
     let simd_speedup = p99(&all[SCALAR_BATCHED]) / p99(&all[BEST]);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let max_z = *LEVELS.iter().max().expect("levels");
     println!(
         "cold path: z≤{max_z} cold-tile p99 scalar per-pixel {:.2} ms → simd batched {:.2} ms \
          ({agg_speedup:.1}x; worst single zoom {min_speedup:.1}x; simd on batched \
-         {simd_speedup:.2}x) ({cores} core(s), simd {})",
+         {simd_speedup:.2}x)",
         p99(&all[BASELINE]) / 1e6,
         p99(&all[BEST]) / 1e6,
-        if kdv_geom::simd::simd_supported() {
-            "avx2"
-        } else {
-            "unavailable"
-        },
     );
     let mut agg_fields = vec![("tiles", json::num_u(all[0].count()))];
     for (slot, (name, _, _)) in MODES.into_iter().enumerate() {
         agg_fields.push((name, hist_json(&all[slot])));
     }
     Value::obj(vec![
-        ("host_cores", json::num_u(cores as u64)),
-        (
-            "simd_supported",
-            Value::Bool(kdv_geom::simd::simd_supported()),
-        ),
-        (
-            "simd_lanes",
-            json::num_u(kdv_geom::simd::simd_lanes() as u64),
-        ),
+        ("dataset", Value::Str("crime".to_string())),
+        ("points", json::num_u(POINTS as u64)),
+        ("tile_size", json::num_u(TILE_SIZE as u64)),
         ("kinds", Value::Str("eps+tau".to_string())),
         ("rounds", json::num_u(rounds as u64)),
         ("zooms", Value::Arr(zooms)),
@@ -1119,76 +813,45 @@ fn main() {
     let out = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let mut points = Dataset::Crime.generate(POINTS, SEED);
-    points.scale_weights(1.0 / points.len() as f64);
-    let kernel = Kernel::gaussian(scott_gamma(&points).gamma);
-    let config = ServerConfig {
-        tile_size: TILE_SIZE,
-        max_z: *LEVELS.iter().max().expect("levels"),
-        eps: 0.1,
-        workers: 4,
-        ..ServerConfig::default()
-    };
-    let server = TileServer::start(config, &points, kernel).expect("server start");
-    let addr = server.local_addr();
-
-    let mut levels = Vec::new();
-    for z in LEVELS {
-        let mut cold = LogHistogram::new();
-        let mut cached = LogHistogram::new();
-        for (pass, hist) in [(0, &mut cold), (1, &mut cached)] {
-            for x in 0..1u32 << z {
-                for y in 0..1u32 << z {
-                    let path = format!("/tiles/eps/{z}/{x}/{y}.png");
-                    let start = Instant::now();
-                    let (status, body) = fetch(addr, &path);
-                    let ns = start.elapsed().as_nanos() as u64;
-                    assert_eq!(status, 200, "{path} (pass {pass})");
-                    assert!(body.starts_with(b"\x89PNG"), "{path}: not a PNG");
-                    hist.record(ns);
-                }
-            }
-        }
-        println!(
-            "z={z}: cold p50 {:.1} ms, cached p50 {:.3} ms ({} tiles)",
-            cold.quantile_le(0.5) as f64 / 1e6,
-            cached.quantile_le(0.5) as f64 / 1e6,
-            cold.count(),
-        );
-        levels.push(Value::obj(vec![
-            ("z", json::num_u(z as u64)),
-            ("tiles", json::num_u(cold.count())),
-            ("cold", hist_json(&cold)),
-            ("cached", hist_json(&cached)),
-        ]));
-    }
-    server.stop();
-
-    let cold_path = cold_path();
+    // `.github/perfbench-record.py` owns the `perfbench` section: keep it.
+    let perfbench = std::fs::read_to_string(&out).ok().and_then(|text| {
+        json::parse(&text)
+            .unwrap_or_else(|e| panic!("{out} does not parse: {e}"))
+            .get("perfbench")
+            .cloned()
+    });
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let lanes = kdv_geom::simd::simd_lanes();
+    let host = Value::obj(vec![
+        ("cores", json::num_u(cores as u64)),
+        ("simd_lanes", json::num_u(lanes as u64)),
+        ("single_core", Value::Bool(cores == 1)),
+    ]);
+    println!("host: {cores} core(s), {lanes} SIMD lane(s)");
 
     let mut fields = vec![
-        ("schema", Value::Str("kdv-bench-serve/7".to_string())),
-        ("dataset", Value::Str("crime".to_string())),
-        ("points", json::num_u(POINTS as u64)),
-        ("tile_size", json::num_u(TILE_SIZE as u64)),
-        ("kind", Value::Str("eps".to_string())),
-        ("levels", Value::Arr(levels)),
-        ("cold_path", cold_path),
+        ("schema", Value::Str("kdv-bench-serve/8".to_string())),
+        ("host", host),
+        ("cold_path", cold_path()),
     ];
-    // KDV_BENCH_FAST: the CI perf smoke only needs the sections above
-    // (cached levels + per-mode cold path); the 1M-point cold-start,
-    // ingest, cluster, pyramid, and tracing sections are minutes of
-    // extra wall time that belong to full sidecar refreshes.
+    // KDV_BENCH_FAST: the CI perf smoke only needs the cold path; the
+    // 1M-point cold-start and pyramid sections, ingest and cluster are
+    // minutes of extra wall time that belong to full refreshes.
     if std::env::var("KDV_BENCH_FAST").is_err() {
         let tmp = std::env::temp_dir().join(format!("kdv-serve-bench-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&tmp);
         std::fs::create_dir_all(&tmp).expect("mkdir tmp");
         fields.push(("cold_start", cold_start(&tmp)));
-        fields.push(("ingest", ingest_bench(&tmp)));
-        fields.push(("cluster", cluster_bench(&tmp)));
+        fields.push(("ingest", ingest_modes(&tmp)));
+        fields.push((
+            "cluster",
+            Value::obj(vec![("cache_pressure", cache_pressure(&tmp))]),
+        ));
         fields.push(("pyramid", pyramid_bench(&tmp)));
         std::fs::remove_dir_all(&tmp).ok();
-        fields.push(("trace_overhead", trace_overhead()));
+    }
+    if let Some(perfbench) = perfbench {
+        fields.push(("perfbench", perfbench));
     }
 
     let doc = Value::obj(fields);

@@ -17,8 +17,7 @@
 //! * [`progressive`] — the coarse-to-fine quad-tree pixel ordering of
 //!   the paper's §6 / Fig 13, generalized to arbitrary resolutions,
 //! * [`colormap`] — the continuous color ramp of Figs 1–2 and the
-//!   two-color τKDV map; [`contour`] — marching-squares iso-density
-//!   outlines (the hotspot boundaries of Fig 1),
+//!   two-color τKDV map,
 //! * [`image`] — dependency-free binary PPM/PGM writers,
 //! * [`tile_render`] — the z/x/y slippy tile pyramid over a data
 //!   window (budgeted, fixed-scale colormapped tiles for
@@ -28,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod colormap;
-pub mod contour;
 pub mod image;
 pub mod png;
 pub mod progressive;
