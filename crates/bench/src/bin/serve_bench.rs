@@ -668,6 +668,11 @@ fn pyramid_bench(tmp: &Path) -> Value {
 /// per-zoom splits alongside; `p99_speedup_simd_batched` isolates what
 /// SIMD adds on the batched path. The file's `host` block gives the
 /// core count and SIMD lanes the numbers depend on.
+///
+/// Each zoom also records, per mode, the engine work its tiles did in
+/// the first round (`work.{mode}`: summed `node_bounds`, `heap_pops`
+/// and `point_evals` from the renders' event counters). The counts
+/// repeat exactly, so the CI perf smoke gates them without noise.
 fn cold_path() -> Value {
     let mut points = Dataset::Crime.generate(POINTS, SEED);
     points.scale_weights(1.0 / points.len() as f64);
@@ -703,20 +708,23 @@ fn cold_path() -> Value {
             &mut TileEvaluator::new(&tree, kernel, family),
         );
         let (b, m) = (&mut budget, &mut metrics);
-        match (tau_tile, batched) {
+        let tile = match (tau_tile, batched) {
             (false, false) => render_tile_eps(ev, raster, eps, b, &cm, scale, m),
             (false, true) => render_tile_eps_batched(tev, raster, eps, b, &cm, scale, m),
             (true, false) => render_tile_tau(ev, raster, tau, b, m),
             (true, true) => render_tile_tau_batched(tev, raster, tau, b, m),
         }
-        .expect("tile renders")
+        .expect("tile renders");
+        (tile, metrics.events)
     };
     // zoom → tile index → mode → best-of-rounds nanoseconds.
     let mut mins: Vec<Vec<[u64; 4]>> = LEVELS
         .iter()
         .map(|&z| vec![[u64::MAX; 4]; 2 * (1usize << z) * (1usize << z)])
         .collect();
-    for _ in 0..COLD_ROUNDS {
+    // zoom → mode → [node_bounds, heap_pops, point_evals], first round.
+    let mut work = vec![[[0u64; 3]; 4]; LEVELS.len()];
+    for round in 0..COLD_ROUNDS {
         for (zi, &z) in LEVELS.iter().enumerate() {
             let mut idx = 0usize;
             for tau_tile in [false, true] {
@@ -726,9 +734,15 @@ fn cold_path() -> Value {
                         for (slot, &(name, simd, batched)) in MODES.iter().enumerate() {
                             kdv_geom::simd::set_simd_enabled(simd);
                             let start = Instant::now();
-                            let tile = render(&raster, tau_tile, batched);
+                            let (tile, events) = render(&raster, tau_tile, batched);
                             let ns = start.elapsed().as_nanos() as u64;
                             assert!(tile.is_complete(), "z{z} ({x},{y}) {name}: degraded");
+                            if round == 0 {
+                                let w = &mut work[zi][slot];
+                                w[0] += events.node_bounds;
+                                w[1] += events.heap_pops;
+                                w[2] += events.point_evals;
+                            }
                             let slot_min = &mut mins[zi][idx][slot];
                             *slot_min = (*slot_min).min(ns);
                         }
@@ -796,6 +810,18 @@ fn cold_path() -> Value {
         }
         fields.push(("p99_ms", p99_ms(&|slot| zoom_p99(zi, slot))));
         fields.push(("p99_speedup_batched", json::num_f(speedup)));
+        let counts = |[node_bounds, heap_pops, point_evals]: [u64; 3]| {
+            Value::obj(vec![
+                ("node_bounds", json::num_u(node_bounds)),
+                ("heap_pops", json::num_u(heap_pops)),
+                ("point_evals", json::num_u(point_evals)),
+            ])
+        };
+        let modes = MODES.iter().zip(work[zi]);
+        fields.push((
+            "work",
+            Value::obj(modes.map(|((name, _, _), w)| (*name, counts(w))).collect()),
+        ));
         zooms.push(Value::obj(fields));
     }
     let min_speedup = speedups.iter().cloned().fold(f64::INFINITY, f64::min);

@@ -70,10 +70,20 @@ pub fn run(ctx: &FigureCtx) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kdv_core::bounds::BoundFamily;
+    use kdv_core::method::PixelEvaluator;
+    use kdv_viz::progressive::progressive_order;
 
     #[test]
     fn quad_error_is_not_worse_than_exact_scan_at_first_budget() {
-        // One dataset at smoke scale to keep runtime tiny.
+        // One dataset at smoke scale to keep runtime tiny. Fig 20's
+        // claim — under one budget QUAD evaluates the most pixels — is
+        // checked at equal work rather than against a wall-clock
+        // deadline, so it does not depend on host load or build
+        // profile: over the first pixels of the §6 order, QUAD's whole
+        // refinement work stays below the point evaluations EXACT
+        // spends on the same pixels.
+        const PIXELS: usize = 256;
         let ctx = FigureCtx::smoke();
         let w = Workload::build(
             Dataset::Crime,
@@ -82,24 +92,18 @@ mod tests {
             (1280, 960),
             ctx.seed,
         );
-        let mut exact_ev = w.evaluator_eps(MethodKind::Exact, EPS).expect("exact");
-        let truth = render_eps(&mut *exact_ev, &w.raster, EPS);
-
-        // QUAD evaluates at least as many pixels per unit time. The
-        // 10 ms budgets race against OS scheduling noise, so allow a
-        // few attempts before declaring the ordering violated.
-        let budget = Some(Duration::from_millis(10));
-        let mut last = (0, 0);
-        let ok = (0..5).any(|_| {
-            let mut quad = w.evaluator_eps(MethodKind::Quad, EPS).expect("quad");
-            let qo = render_eps_progressive(&mut *quad, &w.raster, EPS, budget);
-            let mut exact = w.evaluator_eps(MethodKind::Exact, EPS).expect("exact");
-            let eo = render_eps_progressive(&mut *exact, &w.raster, EPS, budget);
-            let qe = qo.grid.mean_relative_error(&truth);
-            assert!(qe.is_finite());
-            last = (qo.evaluated, eo.evaluated);
-            qo.evaluated >= eo.evaluated
-        });
-        assert!(ok, "QUAD evaluated {} < EXACT {}", last.0, last.1);
+        let mut quad = w.refine_evaluator(BoundFamily::Quadratic);
+        let steps = progressive_order(w.raster.width(), w.raster.height());
+        let mut quad_work = 0usize;
+        for step in &steps[..PIXELS] {
+            let v = quad.eval_eps(&w.raster.pixel_center(step.col, step.row), EPS);
+            assert!(v.is_finite());
+            quad_work += quad.last_stats().total_work();
+        }
+        let exact_work = PIXELS * w.points.len();
+        assert!(
+            quad_work < exact_work,
+            "QUAD spent {quad_work} work units on {PIXELS} pixels, EXACT {exact_work}"
+        );
     }
 }

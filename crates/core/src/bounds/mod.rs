@@ -26,6 +26,7 @@ pub mod quadratic;
 pub mod quadratic_dist;
 
 use crate::kernel::{Kernel, KernelType};
+use kdv_geom::simd::exp_neg;
 use kdv_geom::Mbr;
 use kdv_index::NodeStats;
 
@@ -219,11 +220,13 @@ const POLY_EXP_PAD: f64 = 256.0 * f64::EPSILON;
 /// assembly substitutes `exp(−700) < 9.86e−305`.
 const EXP_CUTOFF_CEIL: f64 = 9.86e-305;
 
-/// Interval-family Gaussian bounds from precomputed polynomial exps —
-/// the two-exp core shared by [`gaussian_bounds_from_exps`] and the
-/// tile engine's batched box-bound re-bracketing. One-sided
-/// [`POLY_EXP_ULP`] covers make the poly's ≤4-ulp error certified, and
-/// arguments past the poly's underflow cutoff substitute
+/// Interval-family Gaussian bounds `w·[e^{−x_max}, e^{−x_min}]` from
+/// precomputed polynomial exps ([`kdv_geom::simd::exp_neg`] or
+/// [`kdv_geom::simd::exp_neg_map`], bit-identical): the tile engine's
+/// one box interval, whether [`box_bounds`] evaluates it for one node
+/// or the engine for a batch of nodes against one block box.
+/// One-sided [`POLY_EXP_ULP`] covers make the poly's ≤4-ulp error
+/// certified, and arguments past the poly's underflow cutoff substitute
 /// [`EXP_CUTOFF_CEIL`] on the upper side.
 #[inline]
 pub fn gaussian_interval_from_exps(w: f64, x_min: f64, e_min: f64, e_max: f64) -> Interval {
@@ -236,97 +239,14 @@ pub fn gaussian_interval_from_exps(w: f64, x_min: f64, e_min: f64, e_max: f64) -
     Interval { lb, ub }
 }
 
-/// Gaussian bounds assembled from **precomputed** `exp(−x_min)`,
-/// `exp(−x_max)` and `exp(−t)` values — the batched-evaluation half of
-/// [`node_bounds_pre`]. The caller (the tile engine's node-major
-/// finisher) gathers the three exp arguments for a whole pixel row,
-/// evaluates them in one vectorized [`kdv_geom::simd::exp_neg_map`]
-/// pass, and assembles each pixel's interval here without touching
-/// libm.
-///
-/// The polynomial exp is within 4 ulp of libm but not one-sided, so
-/// the interval sides are widened by [`POLY_EXP_ULP`] and the
-/// chord/tangent refinements by [`POLY_EXP_PAD`]·`ub`: the result is a
-/// certified (slightly wider) bracket of `F_R(q)`, interchangeable
-/// with [`node_bounds_pre`]'s under the engine's ε/τ contracts.
-///
-/// * `w` — node weight (caller guarantees `w > 0`),
-/// * `x_min ≤ x_max` — γ-scaled squared-distance interval to the MBR,
-/// * `e_min`/`e_max` — polynomial `exp_neg(x_min)`/`exp_neg(x_max)`,
-/// * `sx`/`sx2` — moment contractions `γ·Σwᵢdist²`/`γ²·Σwᵢdist⁴`,
-///   already clamped into `[w·x_min, w·x_max]` (resp. squares),
-/// * `t`/`e_t` — tangent argument `clamp(sx/w, x_min, x_max)` and its
-///   polynomial exp (ignored for [`BoundFamily::Interval`]).
-#[allow(clippy::too_many_arguments)]
-#[inline]
-pub fn gaussian_bounds_from_exps(
-    family: BoundFamily,
-    w: f64,
-    x_min: f64,
-    x_max: f64,
-    e_min: f64,
-    e_max: f64,
-    sx: f64,
-    sx2: f64,
-    t: f64,
-    e_t: f64,
-) -> Interval {
-    use crate::kernel::gaussian::DEGENERATE_SPAN;
-    let base = gaussian_interval_from_exps(w, x_min, e_min, e_max);
-    let ub0 = base.ub;
-    let span = x_max - x_min;
-    if matches!(family, BoundFamily::Interval) || span < DEGENERATE_SPAN {
-        return base;
-    }
-    let cand = match family {
-        BoundFamily::Interval => unreachable!("returned above"),
-        BoundFamily::Linear => {
-            // Chord upper / tangent-at-mean lower (`linear::gaussian`).
-            let m = (e_max - e_min) / span;
-            let k = e_min - m * x_min;
-            Interval {
-                lb: w * e_t,
-                ub: m * sx + k * w,
-            }
-        }
-        BoundFamily::Quadratic => {
-            // Endpoint parabola with Theorem 1's optimal curvature /
-            // tangent-through-(x_max) parabola (`quadratic::gaussian`),
-            // with the four interval divisions folded into two
-            // reciprocals — a ≤1-ulp perturbation per coefficient,
-            // absorbed by the pad below.
-            let inv = 1.0 / span;
-            let au = (e_min - (span + 1.0) * e_max) * inv * inv;
-            let bu = (e_max - e_min) * inv - au * (x_min + x_max);
-            let cu = (e_min * x_max - e_max * x_min) * inv + au * x_min * x_max;
-            let ub = au * sx2 + bu * sx + cu * w;
-            let s = x_max - t;
-            let lb = if s < DEGENERATE_SPAN {
-                f64::NEG_INFINITY
-            } else {
-                let inv_s = 1.0 / s;
-                let al = (e_max + (s - 1.0) * e_t) * inv_s * inv_s;
-                let bl = -e_t - 2.0 * t * al;
-                let cl = (1.0 + t) * e_t + t * t * al;
-                al * sx2 + bl * sx + cl * w
-            };
-            Interval { lb, ub }
-        }
-    };
-    let pad = POLY_EXP_PAD * ub0;
-    base.refined_with(Interval {
-        lb: cand.lb - pad,
-        ub: cand.ub + pad,
-    })
-}
-
 /// The [`kdv_geom::simd::gauss_quad_assemble`] parameter block
-/// carrying this module's certification policy — the same exp covers,
-/// candidate pad, cutoff substitute and degeneracy threshold that
-/// [`gaussian_bounds_from_exps`] applies, so the vectorized assembly
-/// produces brackets certified by the same argument (op order differs
-/// from the scalar assembly by at most reassociation of one product,
-/// well inside [`POLY_EXP_PAD`]).
+/// carrying this module's certification policy: the one-sided exp
+/// covers of [`gaussian_interval_from_exps`], the [`POLY_EXP_PAD`] on
+/// the parabola candidates, the cutoff substitute and the degeneracy
+/// threshold. With them the vectorized assembly is a certified
+/// (slightly wider) bracket of `F_R(q)`, interchangeable with
+/// [`node_bounds_pre`]'s quadratic family under the engine's ε/τ
+/// contracts.
 pub fn quad_assemble_consts() -> kdv_geom::simd::QuadAssembleConsts {
     kdv_geom::simd::QuadAssembleConsts {
         ulp: POLY_EXP_ULP,
@@ -344,6 +264,12 @@ pub fn quad_assemble_consts() -> kdv_geom::simd::QuadAssembleConsts {
 /// cheaply. This is the primitive behind the tile engine's block
 /// decisions ([`crate::engine::TileEvaluator`]): when a block's box
 /// bounds decide the rule, every pixel of the block is decided at once.
+///
+/// The Gaussian arm is [`gaussian_interval_from_exps`] over the
+/// polynomial [`kdv_geom::simd::exp_neg`], bit-identical to the tile
+/// engine's batched box bounds, so block decisions and work counts are
+/// the same on every host and with SIMD on or off. Other kernels use
+/// their closed-form interval bounds.
 #[inline]
 pub fn box_bounds(kernel: &Kernel, stats: &NodeStats, mbr: &Mbr, query_box: &Mbr) -> Interval {
     if stats.weight <= 0.0 {
@@ -353,7 +279,8 @@ pub fn box_bounds(kernel: &Kernel, stats: &NodeStats, mbr: &Mbr, query_box: &Mbr
     let dmax2 = query_box.max_dist2_box(mbr);
     match kernel.ty {
         KernelType::Gaussian => {
-            interval::gaussian(stats.weight, kernel.gamma * dmin2, kernel.gamma * dmax2)
+            let (x_min, x_max) = (kernel.gamma * dmin2, kernel.gamma * dmax2);
+            gaussian_interval_from_exps(stats.weight, x_min, exp_neg(x_min), exp_neg(x_max))
         }
         _ => interval::distance(
             kernel,
@@ -401,24 +328,23 @@ mod tests {
     // `tests/bound_correctness.rs` at the crate root, where they can
     // drive full kd-trees.
 
-    use kdv_geom::simd::exp_neg;
+    use kdv_geom::simd::gauss_quad_assemble;
     use kdv_geom::vecmath::dist2;
     use kdv_geom::PointSet;
     use kdv_index::NodeStats;
     use proptest::prelude::*;
 
     proptest! {
-        /// The batched assembly ([`gaussian_bounds_from_exps`] fed by
-        /// the polynomial exp) is a certified bracket of the exact
-        /// aggregate for every family, like [`node_bounds_pre`].
+        /// The tile engine's vectorized quadratic assembly
+        /// ([`gauss_quad_assemble`] over polynomial exps, with
+        /// [`quad_assemble_consts`]) is a certified bracket of the
+        /// exact aggregate, like [`node_bounds_pre`].
         #[test]
         fn batch_assembly_brackets_exact(
             flat in proptest::collection::vec(-10.0..10.0f64, 2..40),
             q in proptest::collection::vec(-12.0..12.0f64, 2),
             gamma in 0.01..2.0f64,
-            fam_idx in 0usize..3,
         ) {
-            let family = BoundFamily::ALL[fam_idx];
             let n = flat.len() / 2 * 2;
             let ps = PointSet::from_rows(2, &flat[..n]);
             let mut s = NodeStats::zero(2);
@@ -433,18 +359,20 @@ mod tests {
             let sx2 = (gamma * gamma * s.sum_dist4(&q))
                 .clamp(w * x_min * x_min, w * x_max * x_max);
             let t = (sx / w).clamp(x_min, x_max);
-            let b = gaussian_bounds_from_exps(
-                family, w, x_min, x_max,
-                exp_neg(x_min), exp_neg(x_max), sx, sx2, t, exp_neg(t),
+            let (mut lb, mut ub) = ([0.0], [0.0]);
+            gauss_quad_assemble(
+                w, &[x_min], &[x_max], &[t],
+                &[exp_neg(x_min)], &[exp_neg(x_max)], &[exp_neg(t)], &[sx], &[sx2],
+                &quad_assemble_consts(), &mut lb, &mut ub,
             );
             let f: f64 = ps
                 .iter()
                 .map(|p| p.weight * (-gamma * dist2(&q, p.coords)).exp())
                 .sum();
-            prop_assert!(b.lb <= f * (1.0 + 1e-9) + 1e-12, "lb {} > F {}", b.lb, f);
-            prop_assert!(f <= b.ub * (1.0 + 1e-9) + 1e-12, "F {} > ub {}", f, b.ub);
+            prop_assert!(lb[0] <= f * (1.0 + 1e-9) + 1e-12, "lb {} > F {}", lb[0], f);
+            prop_assert!(f <= ub[0] * (1.0 + 1e-9) + 1e-12, "F {} > ub {}", f, ub[0]);
             // Never looser than the interval family it intersects.
-            prop_assert!(b.lb >= 0.0 && b.ub <= w * exp_neg(x_min) * (1.0 + 1e-12) + 1e-300);
+            prop_assert!(lb[0] >= 0.0 && ub[0] <= w * exp_neg(x_min) * (1.0 + 1e-12) + 1e-300);
         }
     }
 }

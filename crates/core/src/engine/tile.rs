@@ -32,14 +32,21 @@
 //!    undecided pixel, no split), and only split — or exact-scanned,
 //!    for leaves — on a later pick. Nodes still box-bounded when a
 //!    pixel decides are counted in [`RefineStats::frontier_reuse`].
-//!    The pass itself is laid out structure-of-arrays: per-pixel
-//!    exponent arguments are gathered into flat scratch, evaluated by
-//!    one polynomial-`exp` sweep ([`kdv_geom::simd::exp_neg_map`],
-//!    four f64 lanes under AVX2, bit-identical scalar fallback), and
-//!    — for the quadratic family — assembled into certified intervals
-//!    by the vectorized [`kdv_geom::simd::gauss_quad_assemble`]
-//!    (same closed forms and rounding pads as the scalar
-//!    [`gaussian_bounds_from_exps`], pinned bit-identical by test).
+//!    For the served pair (Gaussian kernel, QUAD bounds) the pass is
+//!    laid out structure-of-arrays: per-pixel exponent arguments are
+//!    gathered into flat scratch, evaluated by one polynomial-`exp`
+//!    sweep ([`kdv_geom::simd::exp_neg_map`], four f64 lanes under
+//!    AVX2, bit-identical scalar fallback), and assembled into
+//!    certified intervals by the vectorized
+//!    [`kdv_geom::simd::gauss_quad_assemble`]. Every other (kernel,
+//!    family) pair takes the per-pixel reference [`node_bounds_pre`].
+//!
+//! Each bounding job has one code path. Box bounds — the root, split
+//! children and inherited frontiers alike — go through one batched
+//! pass whose Gaussian arm is [`crate::bounds::box_bounds`]' polynomial
+//! interval, so the Gaussian QUAD engine calls no libm `exp`: its
+//! decisions and work counts are the same on every host and with SIMD
+//! on or off.
 //!
 //! ## The guarantees are unchanged
 //!
@@ -66,13 +73,10 @@
 //! evaluations the pixel *skipped* thanks to the shared frontier.
 
 use super::budget::{BudgetedEval, BudgetedTau, RenderBudget};
-use super::probe::{NoProbe, Probe};
+use super::probe::Probe;
 use super::refine::{exact_leaf_scan, EPS_MACH, RESYNC_REL};
 use super::RefineStats;
-use crate::bounds::{
-    box_bounds, gaussian_bounds_from_exps, gaussian_interval_from_exps, node_bounds_pre,
-    BoundFamily,
-};
+use crate::bounds::{box_bounds, gaussian_interval_from_exps, node_bounds_pre, BoundFamily};
 use crate::error::KdvError;
 use crate::kernel::{Kernel, KernelType};
 use crate::query::{validate_eps, validate_tau};
@@ -247,13 +251,13 @@ impl FinishScratch {
     /// undecided pixel, returning the largest per-query gap (the
     /// node's new scheduler score).
     ///
-    /// For the Gaussian kernel the exp-heavy half of the bound is
-    /// batched: one gather pass collects each pixel's three exp
-    /// arguments (`x_min`, `x_max`, tangent `t`), one
-    /// [`kdv_geom::simd::exp_neg_map`] call evaluates them four lanes
-    /// at a time, and a scalar pass assembles the certified intervals
-    /// via [`gaussian_bounds_from_exps`] — no libm in the loop. Other
-    /// kernels fall back to per-pixel [`node_bounds_pre`].
+    /// The served pair (Gaussian, Quadratic) is batched: one gather
+    /// pass collects each pixel's three exp arguments (`x_min`,
+    /// `x_max`, tangent `t`) and moment contractions, one
+    /// [`kdv_geom::simd::exp_neg_map`] call evaluates the exps four
+    /// lanes at a time, and [`kdv_geom::simd::gauss_quad_assemble`]
+    /// assembles the certified intervals — no libm in the loop. Every
+    /// other pair takes the per-pixel reference [`node_bounds_pre`].
     fn bound_row(
         &mut self,
         kernel: &Kernel,
@@ -274,7 +278,10 @@ impl FinishScratch {
             }
             return score;
         }
-        if !matches!(kernel.ty, KernelType::Gaussian) {
+        if !matches!(
+            (kernel.ty, family),
+            (KernelType::Gaussian, BoundFamily::Quadratic)
+        ) {
             for &p in &self.undecided {
                 let p = p as usize;
                 let b = node_bounds_pre(
@@ -296,163 +303,84 @@ impl FinishScratch {
         self.bxs.resize(3 * n, 0.0);
         self.bsx.clear();
         self.bsx.resize(2 * n, 0.0);
-        if stats.dim() == 2 {
-            // 2-D fast path: the d-generic MBR distances and moment
-            // contractions unrolled by hand with the *same*
-            // accumulation order (bit-equal results), node moments
-            // hoisted into locals so the pixel loop touches no `Vec`
-            // indirection. This loop runs once per pixel per bound
-            // evaluation — the hottest scalar code on a cold render.
-            let (lo0, lo1) = (mbr.lo()[0], mbr.lo()[1]);
-            let (hi0, hi1) = (mbr.hi()[0], mbr.hi()[1]);
-            let (a0, a1) = (stats.sum[0], stats.sum[1]);
-            let (v0, v1) = (stats.sum_norm2_p[0], stats.sum_norm2_p[1]);
-            let (c00, c01) = (stats.moment2[0], stats.moment2[1]);
-            let (c10, c11) = (stats.moment2[2], stats.moment2[3]);
-            let (b2, h4) = (stats.sum_norm2, stats.sum_norm4);
-            for (k, &p) in self.undecided.iter().enumerate() {
-                let p = p as usize;
-                let (q0, q1) = (self.qs[2 * p], self.qs[2 * p + 1]);
-                let (t0, t1) = (self.qts[2 * p], self.qts[2 * p + 1]);
-                let d0 = if q0 < lo0 {
-                    lo0 - q0
-                } else if q0 > hi0 {
-                    q0 - hi0
-                } else {
-                    0.0
-                };
-                let d1 = if q1 < lo1 {
-                    lo1 - q1
-                } else if q1 > hi1 {
-                    q1 - hi1
-                } else {
-                    0.0
-                };
-                let x_min = g * (d0 * d0 + d1 * d1);
-                let (f0a, f0b) = ((q0 - lo0).abs(), (q0 - hi0).abs());
-                let (f1a, f1b) = ((q1 - lo1).abs(), (q1 - hi1).abs());
-                let e0 = if f0a > f0b { f0a } else { f0b };
-                let e1 = if f1a > f1b { f1a } else { f1b };
-                let x_max = g * (e0 * e0 + e1 * e1);
-                let (sx, sx2) = match family {
-                    BoundFamily::Interval => (0.0, 0.0),
-                    BoundFamily::Linear => {
-                        let qn2 = t0 * t0 + t1 * t1;
-                        let qa = t0 * a0 + t1 * a1;
-                        let s2 = (w * qn2 - 2.0 * qa + b2).max(0.0);
-                        ((g * s2).clamp(w * x_min, w * x_max), 0.0)
-                    }
-                    BoundFamily::Quadratic => {
-                        let qn2 = t0 * t0 + t1 * t1;
-                        let qa = t0 * a0 + t1 * a1;
-                        let qv = t0 * v0 + t1 * v1;
-                        let s2 = (w * qn2 - 2.0 * qa + b2).max(0.0);
-                        let qcq = t0 * (c00 * t0 + c01 * t1) + t1 * (c10 * t0 + c11 * t1);
-                        let s4 = (w * qn2 * qn2 - 4.0 * qn2 * qa - 4.0 * qv
-                            + 2.0 * qn2 * b2
-                            + h4
-                            + 4.0 * qcq)
-                            .max(0.0);
-                        (
-                            (g * s2).clamp(w * x_min, w * x_max),
-                            (g * g * s4).clamp(w * x_min * x_min, w * x_max * x_max),
-                        )
-                    }
-                };
-                self.bxs[k] = x_min;
-                self.bxs[n + k] = x_max;
-                self.bxs[2 * n + k] = if matches!(family, BoundFamily::Interval) {
-                    0.0
-                } else {
-                    (sx / w).clamp(x_min, x_max)
-                };
-                self.bsx[k] = sx;
-                self.bsx[n + k] = sx2;
-            }
-        } else {
-            for (k, &p) in self.undecided.iter().enumerate() {
-                let p = p as usize;
-                let q = &self.qs[2 * p..2 * p + 2];
-                let qt = &self.qts[2 * p..2 * p + 2];
-                let x_min = g * mbr.min_dist2(q);
-                let x_max = g * mbr.max_dist2(q);
-                let (sx, sx2) = match family {
-                    BoundFamily::Interval => (0.0, 0.0),
-                    BoundFamily::Linear => (
-                        (g * stats.sum_dist2_pre(qt)).clamp(w * x_min, w * x_max),
-                        0.0,
-                    ),
-                    BoundFamily::Quadratic => {
-                        let (s2, s4) = stats.sum_dist2_dist4_pre(qt);
-                        (
-                            (g * s2).clamp(w * x_min, w * x_max),
-                            (g * g * s4).clamp(w * x_min * x_min, w * x_max * x_max),
-                        )
-                    }
-                };
-                self.bxs[k] = x_min;
-                self.bxs[n + k] = x_max;
-                self.bxs[2 * n + k] = if matches!(family, BoundFamily::Interval) {
-                    0.0
-                } else {
-                    (sx / w).clamp(x_min, x_max)
-                };
-                self.bsx[k] = sx;
-                self.bsx[n + k] = sx2;
-            }
+        // The d-generic MBR distances and moment contractions unrolled
+        // for the 2-D tree the engine requires, node moments hoisted
+        // into locals so the pixel loop touches no `Vec` indirection.
+        // This loop runs once per pixel per bound evaluation — the
+        // hottest scalar code on a cold render.
+        let (lo0, lo1) = (mbr.lo()[0], mbr.lo()[1]);
+        let (hi0, hi1) = (mbr.hi()[0], mbr.hi()[1]);
+        let (a0, a1) = (stats.sum[0], stats.sum[1]);
+        let (v0, v1) = (stats.sum_norm2_p[0], stats.sum_norm2_p[1]);
+        let (c00, c01) = (stats.moment2[0], stats.moment2[1]);
+        let (c10, c11) = (stats.moment2[2], stats.moment2[3]);
+        let (b2, h4) = (stats.sum_norm2, stats.sum_norm4);
+        for (k, &p) in self.undecided.iter().enumerate() {
+            let p = p as usize;
+            let (q0, q1) = (self.qs[2 * p], self.qs[2 * p + 1]);
+            let (t0, t1) = (self.qts[2 * p], self.qts[2 * p + 1]);
+            let d0 = if q0 < lo0 {
+                lo0 - q0
+            } else if q0 > hi0 {
+                q0 - hi0
+            } else {
+                0.0
+            };
+            let d1 = if q1 < lo1 {
+                lo1 - q1
+            } else if q1 > hi1 {
+                q1 - hi1
+            } else {
+                0.0
+            };
+            let x_min = g * (d0 * d0 + d1 * d1);
+            let (f0a, f0b) = ((q0 - lo0).abs(), (q0 - hi0).abs());
+            let (f1a, f1b) = ((q1 - lo1).abs(), (q1 - hi1).abs());
+            let e0 = if f0a > f0b { f0a } else { f0b };
+            let e1 = if f1a > f1b { f1a } else { f1b };
+            let x_max = g * (e0 * e0 + e1 * e1);
+            let qn2 = t0 * t0 + t1 * t1;
+            let qa = t0 * a0 + t1 * a1;
+            let qv = t0 * v0 + t1 * v1;
+            let s2 = (w * qn2 - 2.0 * qa + b2).max(0.0);
+            let qcq = t0 * (c00 * t0 + c01 * t1) + t1 * (c10 * t0 + c11 * t1);
+            let s4 = (w * qn2 * qn2 - 4.0 * qn2 * qa - 4.0 * qv + 2.0 * qn2 * b2 + h4 + 4.0 * qcq)
+                .max(0.0);
+            let sx = (g * s2).clamp(w * x_min, w * x_max);
+            let sx2 = (g * g * s4).clamp(w * x_min * x_min, w * x_max * x_max);
+            self.bxs[k] = x_min;
+            self.bxs[n + k] = x_max;
+            self.bxs[2 * n + k] = (sx / w).clamp(x_min, x_max);
+            self.bsx[k] = sx;
+            self.bsx[n + k] = sx2;
         }
         self.bes.clear();
         self.bes.resize(3 * n, 0.0);
         kdv_geom::simd::exp_neg_map(&self.bxs, &mut self.bes);
-        if matches!(family, BoundFamily::Quadratic) {
-            // The quadratic family — the serving default — also gets
-            // vectorized *assembly*: four pixels of parabola
-            // coefficients per iteration over the SoA buffers, then a
-            // cheap scalar scatter into the arena row.
-            self.blb.clear();
-            self.blb.resize(n, 0.0);
-            self.bub.clear();
-            self.bub.resize(n, 0.0);
-            kdv_geom::simd::gauss_quad_assemble(
-                w,
-                &self.bxs[..n],
-                &self.bxs[n..2 * n],
-                &self.bxs[2 * n..],
-                &self.bes[..n],
-                &self.bes[n..2 * n],
-                &self.bes[2 * n..],
-                &self.bsx[..n],
-                &self.bsx[n..],
-                &crate::bounds::quad_assemble_consts(),
-                &mut self.blb,
-                &mut self.bub,
-            );
-            for (k, &p) in self.undecided.iter().enumerate() {
-                let p = p as usize;
-                let (bl, bu) = (self.blb[k], self.bub[k]);
-                self.rows[base + p] = bl;
-                self.rows[base + npix + p] = bu;
-                score = score.max(bu - bl);
-            }
-            return score;
-        }
+        self.blb.clear();
+        self.blb.resize(n, 0.0);
+        self.bub.clear();
+        self.bub.resize(n, 0.0);
+        kdv_geom::simd::gauss_quad_assemble(
+            w,
+            &self.bxs[..n],
+            &self.bxs[n..2 * n],
+            &self.bxs[2 * n..],
+            &self.bes[..n],
+            &self.bes[n..2 * n],
+            &self.bes[2 * n..],
+            &self.bsx[..n],
+            &self.bsx[n..],
+            &crate::bounds::quad_assemble_consts(),
+            &mut self.blb,
+            &mut self.bub,
+        );
         for (k, &p) in self.undecided.iter().enumerate() {
             let p = p as usize;
-            let b = gaussian_bounds_from_exps(
-                family,
-                w,
-                self.bxs[k],
-                self.bxs[n + k],
-                self.bes[k],
-                self.bes[n + k],
-                self.bsx[k],
-                self.bsx[n + k],
-                self.bxs[2 * n + k],
-                self.bes[2 * n + k],
-            );
-            self.rows[base + p] = b.lb;
-            self.rows[base + npix + p] = b.ub;
-            score = score.max(b.gap());
+            let (bl, bu) = (self.blb[k], self.bub[k]);
+            self.rows[base + p] = bl;
+            self.rows[base + npix + p] = bu;
+            score = score.max(bu - bl);
         }
         score
     }
@@ -498,13 +426,15 @@ impl TileRule {
     }
 }
 
-/// One tile request: the raster, its stop rule, and the per-pixel
-/// additive offset (row-major; empty means zero everywhere).
+/// One tile request: the raster, its stop rule, the per-pixel
+/// additive offset (row-major; empty means zero everywhere), and the
+/// SIMD lane width reported in every pixel's stats.
 #[derive(Clone, Copy)]
 struct Job<'r> {
     raster: &'r RasterSpec,
     rule: TileRule,
     offset: &'r [f64],
+    lanes: usize,
 }
 
 impl Job<'_> {
@@ -580,8 +510,6 @@ pub struct TileEvaluator<'a> {
     finish: FinishScratch,
     /// Squared-distance scratch for SoA leaf scans.
     d2: Vec<f64>,
-    /// Block-level (shared) work of the most recent tile.
-    shared: RefineStats,
     /// Per-tile choice (see [`TIGHT_BOX_SCALE`]): whether the current
     /// tile's finish blocks are tight enough for the deep shared
     /// budget.
@@ -599,7 +527,6 @@ impl<'a> TileEvaluator<'a> {
             frontier_pool: Vec::new(),
             finish: FinishScratch::default(),
             d2: Vec::new(),
-            shared: RefineStats::default(),
             deep_shared: false,
         }
     }
@@ -609,16 +536,8 @@ impl<'a> TileEvaluator<'a> {
         self.family
     }
 
-    /// Block-level work of the most recent tile: frontier pops, box
-    /// bound evaluations and so on that were shared by many pixels and
-    /// therefore are *not* in any pixel's [`RefineStats`]. (They are
-    /// reported to the probe and charged to the budget as they
-    /// happen.)
-    pub fn shared_stats(&self) -> RefineStats {
-        self.shared
-    }
-
-    /// Evaluates a whole εKDV tile under `budget`.
+    /// Evaluates a whole εKDV tile under `budget`, reporting every
+    /// shared and per-pixel refinement event to `probe`.
     ///
     /// Per pixel this upholds exactly the per-pixel budgeted contract:
     /// a certified bracket of `F(q)`, with `ub ≤ (1+ε)·lb` whenever
@@ -626,17 +545,6 @@ impl<'a> TileEvaluator<'a> {
     ///
     /// # Panics
     /// Panics if `eps` is invalid or the tree is not 2-D.
-    pub fn eval_tile_eps(
-        &mut self,
-        raster: &RasterSpec,
-        eps: f64,
-        budget: &mut RenderBudget,
-    ) -> TileEps {
-        self.eval_tile_eps_with(raster, eps, budget, &mut NoProbe)
-    }
-
-    /// [`TileEvaluator::eval_tile_eps`] with a probe receiving every
-    /// shared and per-pixel refinement event.
     pub fn eval_tile_eps_with<P: Probe>(
         &mut self,
         raster: &RasterSpec,
@@ -647,22 +555,13 @@ impl<'a> TileEvaluator<'a> {
         self.eval_tile_with(raster, TileRule::Rel(eps), &[], budget, probe)
     }
 
-    /// Evaluates a whole τKDV tile under `budget`. With an unlimited
-    /// budget every pixel is `decided` and the mask is bit-identical
-    /// to the per-pixel path's (both are exact classifications).
+    /// Evaluates a whole τKDV tile under `budget`, reporting events to
+    /// `probe`. With an unlimited budget every pixel is `decided` and
+    /// the mask is bit-identical to the per-pixel path's (both are
+    /// exact classifications).
     ///
     /// # Panics
     /// Panics if `tau` is invalid or the tree is not 2-D.
-    pub fn eval_tile_tau(
-        &mut self,
-        raster: &RasterSpec,
-        tau: f64,
-        budget: &mut RenderBudget,
-    ) -> TileTau {
-        self.eval_tile_tau_with(raster, tau, budget, &mut NoProbe)
-    }
-
-    /// [`TileEvaluator::eval_tile_tau`] with a probe.
     pub fn eval_tile_tau_with<P: Probe>(
         &mut self,
         raster: &RasterSpec,
@@ -721,10 +620,7 @@ impl<'a> TileEvaluator<'a> {
             raster,
             rule,
             offset,
-        };
-        self.shared = RefineStats {
-            simd_lanes: kdv_geom::simd::simd_lanes(),
-            ..RefineStats::default()
+            lanes: kdv_geom::simd::simd_lanes(),
         };
         let block = (0u32, 0u32, raster.width(), raster.height());
         let qbox = block_box(raster, block);
@@ -748,80 +644,61 @@ impl<'a> TileEvaluator<'a> {
         self.deep_shared = scale <= TIGHT_BOX_SCALE;
         let mut frontier = self.frontier_pool.pop().unwrap_or_default();
         frontier.clear();
-        let root = self.tree.root();
-        frontier.push(self.bound_block_node(root, 0, &qbox, budget, probe));
+        let root = [(self.tree.root(), 0)];
+        self.box_bound(root.into_iter(), &qbox, &mut frontier, budget, probe);
         self.solve_block(&job, block, frontier, budget, probe, &mut out);
         let (evals, stats) = out.into_iter().unzip();
         TileEps { evals, stats }
     }
 
-    /// Box-bounds one node against a block box, with full accounting.
-    fn bound_block_node<P: Probe>(
+    /// Box-bounds `nodes` (id, depth) against a block box and appends
+    /// them to `dst`, with full accounting: the engine's one box-bound
+    /// path, for the root, split children and inherited frontiers
+    /// alike. The Gaussian kernel's box distances are gathered and
+    /// their exps evaluated in one vectorized
+    /// [`kdv_geom::simd::exp_neg_map`] pass, then assembled by
+    /// [`gaussian_interval_from_exps`] — bit-identical to
+    /// [`box_bounds`], which the other kernels call per node.
+    fn box_bound<P: Probe>(
         &mut self,
-        id: NodeId,
-        depth: u32,
-        qbox: &Mbr,
-        budget: &mut RenderBudget,
-        probe: &mut P,
-    ) -> BlockNode {
-        let node = self.tree.node(id);
-        let b = box_bounds(&self.kernel, &node.stats, &node.mbr, qbox);
-        self.shared.node_bounds += 1;
-        probe.node_bound();
-        budget.charge(1);
-        BlockNode {
-            node: id,
-            depth,
-            lb: b.lb,
-            ub: b.ub,
-        }
-    }
-
-    /// Re-brackets an inherited frontier against a child block box in
-    /// one pass, with the same accounting as [`Self::bound_block_node`].
-    /// The Gaussian interval family needs two exps per node, so the
-    /// box distances are gathered and evaluated through the vectorized
-    /// [`kdv_geom::simd::exp_neg_map`]; other kernels fall back to the
-    /// per-node path.
-    fn rebox_frontier<P: Probe>(
-        &mut self,
-        src: &[BlockNode],
+        nodes: impl ExactSizeIterator<Item = (NodeId, u32)> + Clone,
         qbox: &Mbr,
         dst: &mut Vec<BlockNode>,
         budget: &mut RenderBudget,
         probe: &mut P,
     ) {
-        if !matches!(self.kernel.ty, KernelType::Gaussian) {
-            for e in src {
-                dst.push(self.bound_block_node(e.node, e.depth, qbox, budget, probe));
+        let n = nodes.len();
+        let gaussian = matches!(self.kernel.ty, KernelType::Gaussian);
+        if gaussian {
+            let g = self.kernel.gamma;
+            let s = &mut self.finish;
+            s.bxs.clear();
+            s.bxs.resize(2 * n, 0.0);
+            for (k, (id, _)) in nodes.clone().enumerate() {
+                let mbr = &self.tree.node(id).mbr;
+                s.bxs[k] = g * qbox.min_dist2_box(mbr);
+                s.bxs[n + k] = g * qbox.max_dist2_box(mbr);
             }
-            return;
+            s.bes.clear();
+            s.bes.resize(2 * n, 0.0);
+            kdv_geom::simd::exp_neg_map(&s.bxs, &mut s.bes);
         }
-        let n = src.len();
-        let g = self.kernel.gamma;
-        let s = &mut self.finish;
-        s.bxs.clear();
-        s.bxs.resize(2 * n, 0.0);
-        for (k, e) in src.iter().enumerate() {
-            let mbr = &self.tree.node(e.node).mbr;
-            s.bxs[k] = g * qbox.min_dist2_box(mbr);
-            s.bxs[n + k] = g * qbox.max_dist2_box(mbr);
-        }
-        s.bes.clear();
-        s.bes.resize(2 * n, 0.0);
-        kdv_geom::simd::exp_neg_map(&s.bxs, &mut s.bes);
-        for (k, e) in src.iter().enumerate() {
-            let w = self.tree.node(e.node).stats.weight;
-            let b = gaussian_interval_from_exps(w, s.bxs[k], s.bes[k], s.bes[n + k]);
+        for (k, (id, depth)) in nodes.enumerate() {
+            let node = self.tree.node(id);
+            let b = if gaussian {
+                let s = &self.finish;
+                gaussian_interval_from_exps(node.stats.weight, s.bxs[k], s.bes[k], s.bes[n + k])
+            } else {
+                box_bounds(&self.kernel, &node.stats, &node.mbr, qbox)
+            };
             dst.push(BlockNode {
-                node: e.node,
-                depth: e.depth,
+                node: id,
+                depth,
                 lb: b.lb,
                 ub: b.ub,
             });
             probe.node_bound();
         }
-        self.shared.node_bounds += n;
         budget.charge(n as u64);
     }
 
@@ -871,15 +748,14 @@ impl<'a> TileEvaluator<'a> {
                 break None;
             };
             let entry = frontier.swap_remove(best);
-            self.shared.iterations += 1;
             probe.heap_pop();
             probe.node_visit(entry.depth);
             budget.charge(1);
             let NodeKind::Internal { left, right } = self.tree.node(entry.node).kind else {
                 unreachable!("filtered to internal nodes");
             };
-            frontier.push(self.bound_block_node(left, entry.depth + 1, &qbox, budget, probe));
-            frontier.push(self.bound_block_node(right, entry.depth + 1, &qbox, budget, probe));
+            let children = [(left, entry.depth + 1), (right, entry.depth + 1)];
+            self.box_bound(children.into_iter(), &qbox, &mut frontier, budget, probe);
             splits += 1;
         };
 
@@ -890,7 +766,6 @@ impl<'a> TileEvaluator<'a> {
                 // per-pixel cost is zero and the whole frontier's bound
                 // work was reused.
                 let reuse = frontier.len();
-                let lanes = self.shared.simd_lanes;
                 fill_block(job.raster, block, out, |idx| {
                     let d = job.offset_at(idx);
                     (
@@ -901,7 +776,7 @@ impl<'a> TileEvaluator<'a> {
                         },
                         RefineStats {
                             frontier_reuse: reuse,
-                            simd_lanes: lanes,
+                            simd_lanes: job.lanes,
                             ..RefineStats::default()
                         },
                     )
@@ -928,7 +803,8 @@ impl<'a> TileEvaluator<'a> {
                     let cbox = block_box(job.raster, child);
                     let mut cf = self.frontier_pool.pop().unwrap_or_default();
                     cf.clear();
-                    self.rebox_frontier(&frontier, &cbox, &mut cf, budget, probe);
+                    let inherited = frontier.iter().map(|e| (e.node, e.depth));
+                    self.box_bound(inherited, &cbox, &mut cf, budget, probe);
                     self.solve_block(job, child, cf, budget, probe, out);
                 }
             }
@@ -960,7 +836,6 @@ impl<'a> TileEvaluator<'a> {
         let stride = 2 * npix;
         let raster = job.raster;
         let width_px = raster.width();
-        let lanes = self.shared.simd_lanes;
         let mut s = std::mem::take(&mut self.finish);
 
         // Pixel centers and translated copies: one `translate_query`
@@ -1022,7 +897,7 @@ impl<'a> TileEvaluator<'a> {
         s.stats.resize(
             npix,
             RefineStats {
-                simd_lanes: lanes,
+                simd_lanes: job.lanes,
                 ..RefineStats::default()
             },
         );
@@ -1332,7 +1207,7 @@ fn block_box(raster: &RasterSpec, block: (u32, u32, u32, u32)) -> Mbr {
 mod tests {
     use super::*;
     use crate::bandwidth::scott_gamma;
-    use crate::engine::RefineEvaluator;
+    use crate::engine::{NoProbe, RefineEvaluator};
     use crate::method::PixelEvaluator;
     use kdv_geom::PointSet;
     use kdv_index::{BuildConfig, KdTree};
@@ -1355,6 +1230,15 @@ mod tests {
         RasterSpec::covering(ps, px, px, 0.05)
     }
 
+    /// Counts node-bound events.
+    struct BoundCount(usize);
+
+    impl Probe for BoundCount {
+        fn node_bound(&mut self) {
+            self.0 += 1;
+        }
+    }
+
     #[test]
     fn batched_eps_brackets_are_certified_against_exact() {
         let (ps, kernel) = setup(1500, 9);
@@ -1363,7 +1247,7 @@ mod tests {
         let eps = 0.05;
         let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut budget = RenderBudget::unlimited();
-        let tile = tev.eval_tile_eps(&raster, eps, &mut budget);
+        let tile = tev.eval_tile_eps_with(&raster, eps, &mut budget, &mut NoProbe);
         assert_eq!(tile.evals.len(), raster.num_pixels());
         let mut pev = RefineEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         for row in 0..raster.height() {
@@ -1404,7 +1288,7 @@ mod tests {
 
         let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut budget = RenderBudget::unlimited();
-        let tile = tev.eval_tile_tau(&raster, tau, &mut budget);
+        let tile = tev.eval_tile_tau_with(&raster, tau, &mut budget, &mut NoProbe);
         for row in 0..raster.height() {
             for col in 0..raster.width() {
                 let idx = (row * raster.width() + col) as usize;
@@ -1426,11 +1310,18 @@ mod tests {
         let raster = raster_over(&ps, 32);
         let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut budget = RenderBudget::unlimited();
-        let tile = tev.eval_tile_eps(&raster, 0.1, &mut budget);
+        let mut bounds = BoundCount(0);
+        let tile = tev.eval_tile_eps_with(&raster, 0.1, &mut budget, &mut bounds);
         let reuse: usize = tile.stats.iter().map(|s| s.frontier_reuse).sum();
         assert!(reuse > 0, "a 32x32 tile must share some frontier work");
         assert!(tile.stats.iter().all(|s| s.simd_lanes >= 1));
-        assert!(tev.shared_stats().node_bounds > 0);
+        // The probe sees shared box bounds on top of the pixels' own.
+        let own: usize = tile.stats.iter().map(|s| s.node_bounds).sum();
+        assert!(
+            bounds.0 > own,
+            "{} probe bounds vs {own} per-pixel",
+            bounds.0
+        );
     }
 
     #[test]
@@ -1440,7 +1331,7 @@ mod tests {
         let raster = raster_over(&ps, 16);
         let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut tiny = RenderBudget::unlimited().with_max_work(64);
-        let tile = tev.eval_tile_eps(&raster, 1e-6, &mut tiny);
+        let tile = tev.eval_tile_eps_with(&raster, 1e-6, &mut tiny, &mut NoProbe);
         assert!(tiny.is_exhausted());
         let degraded = tile.evals.iter().filter(|e| e.exhausted).count();
         assert!(degraded > 0, "a 64-unit budget cannot finish 256 pixels");
@@ -1475,7 +1366,7 @@ mod tests {
         ] {
             let mut tev = TileEvaluator::new(&tree, kernel, family);
             let mut budget = RenderBudget::unlimited();
-            let tile = tev.eval_tile_eps(&raster, 0.01, &mut budget);
+            let tile = tev.eval_tile_eps_with(&raster, 0.01, &mut budget, &mut NoProbe);
             let mut pev = RefineEvaluator::new(&tree, kernel, family);
             for row in 0..raster.height() {
                 for col in 0..raster.width() {
@@ -1497,7 +1388,7 @@ mod tests {
         let raster = RasterSpec::covering(&ps, 13, 7, 0.05);
         let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
         let mut budget = RenderBudget::unlimited();
-        let tile = tev.eval_tile_eps(&raster, 0.05, &mut budget);
+        let tile = tev.eval_tile_eps_with(&raster, 0.05, &mut budget, &mut NoProbe);
         assert_eq!(tile.evals.len(), 13 * 7);
         for (i, e) in tile.evals.iter().enumerate() {
             assert!(
@@ -1552,7 +1443,7 @@ mod tests {
         }
         // An empty offset is the plain tile.
         let mut budget = RenderBudget::unlimited();
-        let plain = tev.eval_tile_eps(&raster, 0.05, &mut budget);
+        let plain = tev.eval_tile_eps_with(&raster, 0.05, &mut budget, &mut NoProbe);
         let mut budget = RenderBudget::unlimited();
         let zero = tev.eval_tile_with(
             &raster,
@@ -1562,6 +1453,66 @@ mod tests {
             &mut NoProbe,
         );
         assert_eq!(plain.evals, zero.evals);
+    }
+
+    /// Exact `Σ wᵢ·K(q, pᵢ)` over the points under node `id`.
+    fn node_exact(tree: &KdTree, kernel: &Kernel, id: NodeId, q: &[f64]) -> f64 {
+        match tree.node(id).kind {
+            NodeKind::Leaf { .. } => tree
+                .leaf_points(id)
+                .map(|(p, w)| w * kernel.eval_dist2(kdv_geom::vecmath::dist2(q, p)))
+                .sum(),
+            NodeKind::Internal { left, right } => {
+                node_exact(tree, kernel, left, q) + node_exact(tree, kernel, right, q)
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The one box primitive: for every node of a random tree and a
+        /// random query box, the Gaussian [`box_bounds`] brackets EXACT
+        /// at queries inside the box, and the engine's batched box pass
+        /// over all nodes at once returns it bit for bit.
+        #[test]
+        fn box_bounds_bracket_exact_and_equal_the_batched_pass(
+            flat in proptest::collection::vec(-10.0..10.0f64, 4..160),
+            gamma in 0.01..2.0f64,
+            corner in proptest::collection::vec(-12.0..12.0f64, 2),
+            extent in proptest::collection::vec(0.0..6.0f64, 2),
+            fracs in proptest::collection::vec(0.0..1.0f64, 8),
+        ) {
+            let n = flat.len() / 2 * 2;
+            let ps = PointSet::from_rows(2, &flat[..n]);
+            let config = BuildConfig { leaf_capacity: 4, ..BuildConfig::default() };
+            let tree = KdTree::build(&ps, config);
+            let kernel = Kernel::gaussian(gamma);
+            let hi = vec![corner[0] + extent[0], corner[1] + extent[1]];
+            let qbox = Mbr::new(corner.clone(), hi);
+            let ids: Vec<(NodeId, u32)> =
+                (0..tree.num_nodes()).map(|i| (NodeId(i as u32), 0)).collect();
+            let mut tev = TileEvaluator::new(&tree, kernel, BoundFamily::Quadratic);
+            let mut batched = Vec::new();
+            let mut budget = RenderBudget::unlimited();
+            let nodes = ids.iter().copied();
+            tev.box_bound(nodes, &qbox, &mut batched, &mut budget, &mut NoProbe);
+            proptest::prop_assert_eq!(batched.len(), ids.len());
+            for (&(id, _), e) in ids.iter().zip(&batched) {
+                let node = tree.node(id);
+                let b = box_bounds(&kernel, &node.stats, &node.mbr, &qbox);
+                proptest::prop_assert_eq!(
+                    (b.lb.to_bits(), b.ub.to_bits()),
+                    (e.lb.to_bits(), e.ub.to_bits())
+                );
+                for f in fracs.chunks(2) {
+                    let q = [corner[0] + f[0] * extent[0], corner[1] + f[1] * extent[1]];
+                    let exact = node_exact(&tree, &kernel, id, &q);
+                    proptest::prop_assert!(
+                        b.lb <= exact * (1.0 + 1e-12) && exact <= b.ub * (1.0 + 1e-12) + 1e-300,
+                        "node {id:?} at {q:?}: [{}, {}] misses exact {exact}", b.lb, b.ub
+                    );
+                }
+            }
+        }
     }
 
     #[test]

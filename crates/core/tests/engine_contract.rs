@@ -2,7 +2,7 @@
 //! weighted datasets, every kernel, and every bound family.
 
 use kdv_core::bounds::BoundFamily;
-use kdv_core::engine::{RefineEvaluator, RenderBudget, TileEvaluator};
+use kdv_core::engine::{NoProbe, RefineEvaluator, RenderBudget, TileEvaluator};
 use kdv_core::kernel::{Kernel, KernelType};
 use kdv_core::method::PixelEvaluator;
 use kdv_core::raster::RasterSpec;
@@ -138,7 +138,7 @@ proptest! {
         let mut pev = RefineEvaluator::new(&tree, kernel, family);
 
         let mut budget = RenderBudget::unlimited();
-        let tile = tev.eval_tile_eps(&raster, eps, &mut budget);
+        let tile = tev.eval_tile_eps_with(&raster, eps, &mut budget, &mut NoProbe);
         let mut tau = 0.0;
         for (i, e) in tile.evals.iter().enumerate() {
             let (col, row) = (i as u32 % 9, i as u32 / 9);
@@ -157,7 +157,7 @@ proptest! {
         // half for those degenerate scenes (τ must be positive).
         if tau > 0.0 && tau.is_finite() {
             let mut budget = RenderBudget::unlimited();
-            let t = tev.eval_tile_tau(&raster, tau, &mut budget);
+            let t = tev.eval_tile_tau_with(&raster, tau, &mut budget, &mut NoProbe);
             for (i, b) in t.taus.iter().enumerate() {
                 let (col, row) = (i as u32 % 9, i as u32 / 9);
                 let q = raster.pixel_center(col, row);

@@ -105,17 +105,16 @@ impl<'e> TilePlan<'e> {
         }
     }
 
-    /// Runs the batched engine on the plan: the server's one engine
-    /// call, monomorphized per probe.
+    /// Runs the batched engine on the plan with QUAD's quadratic
+    /// bounds: the server's one engine call, monomorphized per probe.
     pub(crate) fn eval<P: Probe>(
         &self,
-        family: BoundFamily,
         raster: &RasterSpec,
         budget: &mut RenderBudget,
         probe: &mut P,
     ) -> Result<TileEps, KdvError> {
         self.rule.validate()?;
-        let mut tev = TileEvaluator::new(self.tree, self.kernel, family);
+        let mut tev = TileEvaluator::new(self.tree, self.kernel, BoundFamily::Quadratic);
         Ok(tev.eval_tile_with(raster, self.rule, &self.offset, budget, probe))
     }
 }
@@ -204,7 +203,7 @@ mod tests {
         );
         let mut budget = RenderBudget::unlimited();
         let tile = plan
-            .eval(BoundFamily::Quadratic, raster, &mut budget, &mut NoProbe)
+            .eval(raster, &mut budget, &mut NoProbe)
             .expect("valid plan");
         (plan.rule, tile)
     }

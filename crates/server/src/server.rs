@@ -42,7 +42,6 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use kdv_core::bounds::BoundFamily;
 use kdv_core::engine::BudgetPolicy;
 use kdv_core::error::KdvError;
 use kdv_core::kernel::Kernel;
@@ -311,7 +310,6 @@ struct Inner {
     catalog: Catalog,
     /// Whether tile paths carry a `{dataset}` segment (store mode).
     multi: bool,
-    family: BoundFamily,
     eps: f64,
     tau: f64,
     cm: ColorMap,
@@ -456,7 +454,6 @@ impl TileServer {
         let inner = Arc::new(Inner {
             catalog,
             multi,
-            family: BoundFamily::Quadratic,
             eps: config.eps,
             tau: config.tau,
             cm: ColorMap::heat(),
@@ -1544,9 +1541,9 @@ fn render_tile(
     let events = &mut metrics.events;
     let tile = if rt.tb.is_enabled() {
         let mut probe = TracingProbe::new(events, &mut depth);
-        plan.eval(inner.family, &raster, &mut budget, &mut probe)?
+        plan.eval(&raster, &mut budget, &mut probe)?
     } else {
-        plan.eval(inner.family, &raster, &mut budget, events)?
+        plan.eval(&raster, &mut budget, events)?
     };
     let tile = match addr.kind {
         TileKind::Eps => paint_eps_tile(&raster, &tile, &inner.cm, entry.scale, &mut metrics),
@@ -1710,12 +1707,7 @@ mod tests {
                         let plan =
                             TilePlan::new(&entry, kind, None, inner.eps, inner.tau, &raster, None);
                         let tile = plan
-                            .eval(
-                                inner.family,
-                                &raster,
-                                &mut RenderBudget::unlimited(),
-                                &mut NoProbe,
-                            )
+                            .eval(&raster, &mut RenderBudget::unlimited(), &mut NoProbe)
                             .expect("valid plan");
                         let mut metrics = RenderMetrics::new();
                         let painted = match kind {

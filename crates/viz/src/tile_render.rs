@@ -262,6 +262,7 @@ mod tests {
     use kdv_core::kernel::Kernel;
     use kdv_data::Dataset;
     use kdv_index::KdTree;
+    use kdv_telemetry::EventCounters;
 
     fn setup() -> (kdv_geom::PointSet, Kernel, RasterSpec) {
         let ps = Dataset::Crime.generate(2000, 11);
@@ -456,18 +457,12 @@ mod tests {
         kernel: Kernel,
         raster: &RasterSpec,
         tau: f64,
-    ) -> (TileTau, RefineStats) {
+    ) -> (TileTau, EventCounters) {
         let mut tev = TileEvaluator::new(tree, kernel, BoundFamily::Quadratic);
         let mut budget = RenderBudget::unlimited();
-        let rule = TileRule::Tau(tau);
-        let tile = tev.eval_tile_with(
-            raster,
-            rule,
-            &[],
-            &mut budget,
-            &mut kdv_core::engine::NoProbe,
-        );
-        (tile.classify(tau), tev.shared_stats())
+        let mut events = EventCounters::default();
+        let tile = tev.eval_tile_with(raster, TileRule::Tau(tau), &[], &mut budget, &mut events);
+        (tile.classify(tau), events)
     }
 
     #[test]
@@ -505,10 +500,10 @@ mod tests {
         let raster = RasterSpec::covering(&points, 32, 32, 0.02);
         // τ far above any density: everything cold, decided by the
         // root bracket — no pixel refines on its own.
-        let (tile, shared) = whole_raster_tau(&tree, kernel, &raster, 1e9);
+        let (tile, events) = whole_raster_tau(&tree, kernel, &raster, 1e9);
         assert!(tile.taus.iter().all(|t| t.decided && !t.hot));
         assert!(tile.stats.iter().all(|s| s.iterations == 0));
-        assert!(shared.iterations <= 1, "{shared:?}");
+        assert!(events.heap_pops <= 1, "{events:?}");
         // τ = 0 ≤ F everywhere: everything hot. (Quadratic lower bounds
         // may dip below zero, so this one refines before it decides.)
         let (tile, _) = whole_raster_tau(&tree, kernel, &raster, 0.0);
